@@ -71,12 +71,11 @@ func stepProcess(b *testing.B, opts proc.Options) *proc.Process {
 }
 
 // BenchmarkStep measures raw interpreter throughput in simulated
-// instructions per wall-clock second, for all three engines: "super" is
-// the superblock trace engine the scheduler uses by default, "block" the
-// basic-block cache it is built on (superblocks disabled), and "legacy"
-// the per-instruction Step reference path. scripts/bench.sh turns the
-// three into BENCH_proc.json, with legacy as the pre-block-cache
-// baseline.
+// instructions per wall-clock second: "super" is the trace engine as the
+// scheduler runs it by default, "block" the same engine with splicing off
+// (every trace one basic block), and "legacy" the per-instruction Step
+// reference interpreter. scripts/bench.sh turns the three into
+// BENCH_proc.json.
 func BenchmarkStep(b *testing.B) {
 	b.Run("super", func(b *testing.B) {
 		pr := stepProcess(b, proc.Options{})
@@ -87,7 +86,7 @@ func BenchmarkStep(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "inst/s")
 		if b.N > 10000 && pr.SuperblockStats().Insts == 0 {
-			b.Fatal("superblock engine never engaged")
+			b.Fatal("splicer never engaged")
 		}
 	})
 	b.Run("block", func(b *testing.B) {

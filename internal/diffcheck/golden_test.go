@@ -1,16 +1,17 @@
 package diffcheck
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/proc"
 )
 
-// legacyRun replicates the scheduler's pre-block-cache quantum loop on
-// top of proc.Step, the per-instruction reference interpreter. It is the
-// "before" side of the cycle-exact equivalence gate.
-func legacyRun(p *proc.Process, maxInst uint64) uint64 {
+// referenceRun is the scheduler's quantum loop on top of proc.Step, the
+// per-instruction reference interpreter: the oracle side of the
+// cycle-exact equivalence gate.
+func referenceRun(p *proc.Process, maxInst uint64) uint64 {
 	var executed uint64
 	for !p.Paused() && p.Fault() == nil {
 		ran := false
@@ -33,68 +34,89 @@ func legacyRun(p *proc.Process, maxInst uint64) uint64 {
 	return executed
 }
 
-// TestCycleExactEngineEquivalence pins both fast execution tiers — the
-// basic-block cache and the superblock trace engine layered on it — to
-// the Step reference interpreter: every workload must retire the same
+// TestCycleExactEngineEquivalence pins the trace engine — with splicing
+// on ("super"), with every trace held to one block ("block"), and with
+// the scheduler cutting quanta at seeded random lengths ("perturbed") —
+// to the Step reference interpreter: every workload must retire the same
 // instructions AND account the same cycles, to the bit. This is the gate
-// that makes the engine rewrites a pure wall-clock win — any model drift
-// (an event reordered, a stall charged twice, a float added in a
-// different order) shows up as a Stats mismatch here. The superblock run
-// must actually exercise traces (formation plus in-trace retirement), so
-// the gate cannot silently pass by never entering the tier it pins.
+// that makes engine work a pure wall-clock matter — any model drift (an
+// event reordered, a stall charged twice, a float added in a different
+// order) shows up as a Stats mismatch here. The splicing run must
+// actually exercise spliced traces (formation plus in-trace retirement),
+// so the gate cannot silently pass by never entering what it pins; and
+// the perturbed run must decode and splice exactly what the fixed-quantum
+// run does, because a quantum that runs dry mid-trace resumes there and
+// never decodes a block at the cut point.
 func TestCycleExactEngineEquivalence(t *testing.T) {
+	type result struct {
+		stats   cpu.Stats
+		n       uint64
+		sb      proc.SuperblockStats
+		decoded uint64
+	}
 	for _, tgt := range Targets() {
 		tgt := tgt
 		t.Run(tgt.Name, func(t *testing.T) {
 			t.Parallel()
-			run := func(mode string) (cpu.Stats, uint64, proc.SuperblockStats) {
+			run := func(mode string) result {
 				w, d, err := tgt.load()
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts := proc.Options{Threads: 1, Handler: d}
-				if mode == "block" {
+				switch mode {
+				case "block":
 					opts.DisableSuperblocks = true
+				case "perturbed":
+					rng := rand.New(rand.NewSource(1))
+					opts.SchedQuantum = func(_, proposed int) int { return 1 + rng.Intn(proposed) }
 				}
 				p, err := proc.Load(w.Binary, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var n uint64
-				if mode == "legacy" {
-					n = legacyRun(p, defaultMaxInst)
+				if mode == "reference" {
+					n = referenceRun(p, defaultMaxInst)
 				} else {
 					n = p.RunUntilHalt(defaultMaxInst)
 				}
 				if err := p.Fault(); err != nil {
 					t.Fatal(err)
 				}
-				return p.Stats(), n, p.SuperblockStats()
+				return result{p.Stats(), n, p.SuperblockStats(), p.DecodedTraces()}
 			}
-			ref, refN, _ := run("legacy")
-			for _, mode := range []string{"super", "block"} {
-				got, gotN, sb := run(mode)
-				if gotN != refN {
-					t.Errorf("%s engine executed %d instructions, reference %d", mode, gotN, refN)
+			ref := run("reference")
+			var fixed result
+			for _, mode := range []string{"super", "block", "perturbed"} {
+				got := run(mode)
+				if got.n != ref.n {
+					t.Errorf("%s run executed %d instructions, reference %d", mode, got.n, ref.n)
 				}
-				if got != ref {
-					t.Errorf("%s engine diverged from reference interpreter:\n"+
+				if got.stats != ref.stats {
+					t.Errorf("%s run diverged from reference interpreter:\n"+
 						"  golden quad %s: insts=%d cycles=%v L1iMisses=%d mispredicts=%d\n"+
 						"  golden quad ref: insts=%d cycles=%v L1iMisses=%d mispredicts=%d\n"+
 						"  full %s: %+v\n  full ref: %+v",
 						mode,
-						mode, got.Instructions, got.Cycles, got.L1iMisses, got.Mispredicts,
-						ref.Instructions, ref.Cycles, ref.L1iMisses, ref.Mispredicts,
-						mode, got, ref)
+						mode, got.stats.Instructions, got.stats.Cycles, got.stats.L1iMisses, got.stats.Mispredicts,
+						ref.stats.Instructions, ref.stats.Cycles, ref.stats.L1iMisses, ref.stats.Mispredicts,
+						mode, got.stats, ref.stats)
 				}
 				switch mode {
 				case "super":
-					if sb.Formed == 0 || sb.Insts == 0 {
-						t.Errorf("superblock engine never exercised traces on %s: %+v", tgt.Name, sb)
+					fixed = got
+					if got.sb.Formed == 0 || got.sb.Insts == 0 {
+						t.Errorf("splicer never exercised on %s: %+v", tgt.Name, got.sb)
 					}
 				case "block":
-					if sb.Formed != 0 || sb.Insts != 0 {
-						t.Errorf("DisableSuperblocks run still used traces: %+v", sb)
+					if got.sb.Formed != 0 || got.sb.Insts != 0 {
+						t.Errorf("DisableSuperblocks run still spliced: %+v", got.sb)
+					}
+				case "perturbed":
+					if got.decoded != fixed.decoded || got.sb.Formed != fixed.sb.Formed {
+						t.Errorf("perturbed quanta decoded %d one-block traces and spliced %d, fixed quanta %d and %d: a cut point was decoded as a block",
+							got.decoded, got.sb.Formed, fixed.decoded, fixed.sb.Formed)
 					}
 				}
 			}

@@ -132,9 +132,7 @@ type DriftConfig struct {
 }
 
 // Config carries the manager's named knobs with validated defaults,
-// grouped by concern (timing, robustness, caching, drift) now that the
-// flat field list outgrew a single struct. FlatConfig converts the old
-// shape for one release.
+// grouped by concern (timing, robustness, caching, drift).
 type Config struct {
 	// Workers bounds how many services run their lifecycle concurrently
 	// (default 4). The budget is global: it is shared across all shard
@@ -320,69 +318,6 @@ func (c Config) withDefaults() (Config, error) {
 		c.MaxPauses = 1
 	}
 	return c, nil
-}
-
-// FlatConfig is the pre-nesting Config shape, kept one release so
-// existing construction sites migrate on their own schedule. Convert
-// with Config(); new code should build the nested Config directly.
-type FlatConfig struct {
-	Workers         int
-	MaxPauses       int
-	Shards          int
-	ProfileDur      float64
-	Warm            float64
-	Window          float64
-	MaxRounds       int
-	ConvergeGain    float64
-	RevertBelow     float64
-	MaxRetries      int
-	QuarantineAfter int
-	RetryBackoff    time.Duration
-	SkipGate        bool
-	LayoutCache     layout.Cache
-	NoLayoutCache   bool
-	FlushBuffer     int
-	Metrics         *telemetry.Registry
-	Tracer          *trace.Tracer
-	FaultHook       func(s *Service, stage State) error
-	Sleep           func(time.Duration)
-	Clock           replay.Clock
-	JitterSeed      int64
-	Jitter          func() float64
-	Replay          *replay.Session
-}
-
-// Config regroups the flat fields into the nested shape.
-func (f FlatConfig) Config() Config {
-	return Config{
-		Workers:   f.Workers,
-		MaxPauses: f.MaxPauses,
-		Shards:    f.Shards,
-		Timing: TimingConfig{
-			ProfileDur: f.ProfileDur,
-			Warm:       f.Warm,
-			Window:     f.Window,
-		},
-		Robustness: RobustnessConfig{
-			MaxRounds:       f.MaxRounds,
-			ConvergeGain:    f.ConvergeGain,
-			RevertBelow:     f.RevertBelow,
-			MaxRetries:      f.MaxRetries,
-			QuarantineAfter: f.QuarantineAfter,
-			RetryBackoff:    f.RetryBackoff,
-		},
-		Cache:       CacheConfig{Layout: f.LayoutCache, Disable: f.NoLayoutCache},
-		SkipGate:    f.SkipGate,
-		FlushBuffer: f.FlushBuffer,
-		Metrics:     f.Metrics,
-		Tracer:      f.Tracer,
-		FaultHook:   f.FaultHook,
-		Sleep:       f.Sleep,
-		Clock:       f.Clock,
-		JitterSeed:  f.JitterSeed,
-		Jitter:      f.Jitter,
-		Replay:      f.Replay,
-	}
 }
 
 // backoffJitterFrac scales the jitter added to each retry backoff:

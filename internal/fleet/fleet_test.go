@@ -3,7 +3,6 @@ package fleet
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/layout"
 	"repro/internal/profile"
@@ -195,36 +194,6 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	}
 	if dcfg.Drift.Policy.MinDivergence != 0.35 || dcfg.Drift.Policy.Window != dcfg.Timing.ProfileDur {
 		t.Errorf("drift defaults not filled: %+v", dcfg.Drift.Policy)
-	}
-}
-
-// TestFlatConfigCompat pins the one-release migration path: a FlatConfig
-// carrying the old flat fields converts to the identical nested Config.
-func TestFlatConfigCompat(t *testing.T) {
-	flat := FlatConfig{
-		Workers: 3, MaxPauses: 2, Shards: 5,
-		MaxRounds: 4, ConvergeGain: 0.05, RevertBelow: 1.01,
-		MaxRetries: 1, QuarantineAfter: 9, RetryBackoff: time.Millisecond,
-		ProfileDur: 0.001, Warm: 0.002, Window: 0.003,
-		NoLayoutCache: true, SkipGate: true, JitterSeed: 7,
-	}
-	cfg := flat.Config()
-	if cfg.Workers != 3 || cfg.MaxPauses != 2 || cfg.Shards != 5 || !cfg.SkipGate || cfg.JitterSeed != 7 {
-		t.Errorf("top-level fields lost: %+v", cfg)
-	}
-	if cfg.Timing != (TimingConfig{ProfileDur: 0.001, Warm: 0.002, Window: 0.003}) {
-		t.Errorf("timing fields lost: %+v", cfg.Timing)
-	}
-	want := RobustnessConfig{MaxRounds: 4, ConvergeGain: 0.05, RevertBelow: 1.01,
-		MaxRetries: 1, QuarantineAfter: 9, RetryBackoff: time.Millisecond}
-	if cfg.Robustness != want {
-		t.Errorf("robustness fields lost: %+v", cfg.Robustness)
-	}
-	if !cfg.Cache.Disable {
-		t.Errorf("NoLayoutCache not mapped: %+v", cfg.Cache)
-	}
-	if _, err := NewManager(cfg); err != nil {
-		t.Errorf("converted config rejected: %v", err)
 	}
 }
 

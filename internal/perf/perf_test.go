@@ -68,29 +68,28 @@ func TestRecorderDetachesCleanly(t *testing.T) {
 	if len(raw.Samples) == 0 {
 		t.Fatal("no samples before stop")
 	}
-	// After Stop, LBR recording is off and the hook removed.
+	// After Stop, LBR recording is off.
 	for _, th := range pr.Threads {
 		if th.Core.LBREnabled {
 			t.Error("LBR still enabled after Stop")
 		}
-	}
-	if pr.SampleHook != nil {
-		t.Error("sample hook still installed after Stop")
 	}
 }
 
 func TestNestedHooksCompose(t *testing.T) {
 	pr := loopProcess(t)
 	outerCalls := 0
-	pr.SampleHook = func(*proc.Thread) { outerCalls++ }
+	pr.AddSampleHook(func(*proc.Thread) { outerCalls++ })
 	rec := Attach(pr, RecorderOptions{})
 	pr.RunFor(0.0003)
 	rec.Stop()
 	if outerCalls == 0 {
 		t.Error("pre-existing sample hook was not chained")
 	}
-	if pr.SampleHook == nil {
-		t.Error("original hook not restored")
+	before := outerCalls
+	pr.RunFor(0.0001)
+	if outerCalls == before {
+		t.Error("pre-existing hook gone after recorder Stop")
 	}
 }
 
@@ -138,19 +137,19 @@ func TestAttachChainStop(t *testing.T) {
 	// attach → chain another hook → stop: the recorder must remove only
 	// its own registration, not clobber the hook chained after it.
 	pr := loopProcess(t)
-	fieldCalls, lateCalls := 0, 0
-	pr.SampleHook = func(*proc.Thread) { fieldCalls++ }
+	earlyCalls, lateCalls := 0, 0
+	pr.AddSampleHook(func(*proc.Thread) { earlyCalls++ })
 	rec := Attach(pr, RecorderOptions{})
 	removeLate := pr.AddSampleHook(func(*proc.Thread) { lateCalls++ })
 	pr.RunFor(0.0003)
 	rec.Stop()
-	if fieldCalls == 0 || lateCalls == 0 {
-		t.Fatalf("hooks not called before stop: field=%d late=%d", fieldCalls, lateCalls)
+	if earlyCalls == 0 || lateCalls == 0 {
+		t.Fatalf("hooks not called before stop: early=%d late=%d", earlyCalls, lateCalls)
 	}
-	f0, l0 := fieldCalls, lateCalls
+	e0, l0 := earlyCalls, lateCalls
 	pr.RunFor(0.0001)
-	if fieldCalls == f0 {
-		t.Error("field hook clobbered by recorder Stop")
+	if earlyCalls == e0 {
+		t.Error("hook registered before attach clobbered by recorder Stop")
 	}
 	if lateCalls == l0 {
 		t.Error("hook chained after attach clobbered by recorder Stop")

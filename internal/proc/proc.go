@@ -69,11 +69,10 @@ type Options struct {
 	// the record/replay layer inject perturbed or journal-fed sources.
 	SchedQuantum func(tid, proposed int) int
 
-	// DisableSuperblocks turns off the superblock trace engine
-	// (super.go), pinning execution to the basic-block cache. Timing is
-	// identical either way (the trace engine is cycle-exact); the switch
-	// exists for benchmarking the engines against each other and for
-	// bisecting engine bugs.
+	// DisableSuperblocks tells the trace engine (trace.go) never to
+	// splice: every trace stays one basic block. Timing is identical
+	// either way (the engine is cycle-exact); the switch exists for
+	// measuring what splicing is worth and for bisecting engine bugs.
 	DisableSuperblocks bool
 }
 
@@ -127,31 +126,27 @@ type Process struct {
 	lastPage *decodePage
 	lastIdx  uint64
 
-	// Basic-block cache (the hot execution path; see docs/perf.md).
-	// blocks maps a start PC to its decoded straight-line run, blockPg
-	// indexes blocks by code page for invalidation, and loCodePg/hiCodePg
-	// bound the pages holding any decoded state so the write watch can
-	// dismiss stack and heap stores without a map lookup.
-	blocks   map[uint64]*basicBlock
-	blockPg  map[uint64][]*basicBlock
+	// Trace cache (trace.go; see docs/perf.md). traces maps a start PC
+	// to its one-block trace; tracePg indexes every trace, one-block or
+	// spliced, by each code page it was decoded from — spliced traces
+	// span pages, so one store can invalidate a trace registered on
+	// several. loCodePg/hiCodePg bound the pages holding any decoded
+	// state so the write watch can dismiss stack and heap stores without
+	// a map lookup.
+	traces   map[uint64]*trace
+	tracePg  map[uint64][]*trace
 	loCodePg uint64
 	hiCodePg uint64
 
-	// Superblock trace cache (super.go). superPg indexes every trace by
-	// each constituent code page — traces span pages, so one store can
-	// invalidate a trace registered on several pages.
-	superPg       map[uint64][]*superblock
-	supersEnabled bool
+	spliceEnabled bool
+	decoded       uint64 // one-block traces decoded
 	superFormed   uint64
 	superInval    uint64
 	superInsts    uint64
 
-	// SampleHook, if set, runs after every scheduler quantum with the
-	// thread that just ran; internal/perf uses it to poll LBR sample
-	// deadlines. Prefer AddSampleHook, which composes: this field is kept
-	// for callers that own the only hook.
-	SampleHook func(t *Thread)
-
+	// sampleHooks run after every scheduler quantum with the thread that
+	// just ran (AddSampleHook); internal/perf polls LBR sample deadlines
+	// from one.
 	sampleHooks []*sampleHook
 }
 
@@ -179,12 +174,12 @@ func Load(bin *obj.Binary, opts Options) (*Process, error) {
 		handler:    opts.Handler,
 		heapCursor: HeapBase,
 		dcache:     make(map[uint64]*decodePage),
-		blocks:     make(map[uint64]*basicBlock),
-		blockPg:    make(map[uint64][]*basicBlock),
-		superPg:    make(map[uint64][]*superblock),
+		traces:     make(map[uint64]*trace),
+		tracePg:    make(map[uint64][]*trace),
 		loCodePg:   ^uint64(0),
+
+		spliceEnabled: !opts.DisableSuperblocks,
 	}
-	p.supersEnabled = !opts.DisableSuperblocks
 	for _, s := range bin.Sections {
 		writeSparse(p.Mem, s.Addr, s.Data)
 	}
@@ -245,79 +240,58 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// invalidate drops decoded instructions and basic blocks covering a
-// written range. The write watch calls this on *every* store — stack
-// pushes included — so the common case must be a cheap dismissal: any
-// range outside [loCodePg, hiCodePg] (the pages holding decoded state)
-// returns without touching a map. Huge in-range spans (a garbage-collected
-// code region) walk the caches instead of the range.
+// invalidate drops decoded instructions and traces covering a written
+// range. The write watch calls this on *every* store — stack pushes
+// included — so the common case must be a cheap dismissal: any range
+// outside [loCodePg, hiCodePg] (the pages holding decoded state) returns
+// without touching a map. Huge in-range spans (a garbage-collected code
+// region) walk the caches instead of the range.
 func (p *Process) invalidate(addr uint64, n int) {
 	first := addr / mem.PageSize
 	last := (addr + uint64(n) - 1) / mem.PageSize
 	if last < p.loCodePg || first > p.hiCodePg {
 		return
 	}
-	if last-first+1 > uint64(len(p.dcache))+uint64(len(p.blockPg))+uint64(len(p.superPg)) {
+	if last-first+1 > uint64(len(p.dcache))+uint64(len(p.tracePg)) {
 		for pg := range p.dcache {
 			if pg >= first && pg <= last {
 				delete(p.dcache, pg)
 			}
 		}
-		for pg := range p.blockPg {
+		for pg := range p.tracePg {
 			if pg >= first && pg <= last {
-				p.dropBlocks(pg)
-			}
-		}
-		for pg := range p.superPg {
-			if pg >= first && pg <= last {
-				p.dropSupers(pg)
+				p.dropTraces(pg)
 			}
 		}
 	} else {
 		for pg := first; pg <= last; pg++ {
 			delete(p.dcache, pg)
-			p.dropBlocks(pg)
-			p.dropSupers(pg)
+			p.dropTraces(pg)
 		}
 	}
 	p.lastPage = nil
 }
 
-// dropBlocks invalidates every basic block decoded from the given page.
-// Blocks are marked invalid (the executor checks the flag after every
-// instruction, so a block invalidated by its own store stops immediately)
-// and unregistered so the next lookup rebuilds from current bytes.
-func (p *Process) dropBlocks(pg uint64) {
-	list, ok := p.blockPg[pg]
-	if !ok {
-		return
-	}
-	for _, b := range list {
-		b.valid = false
-		delete(p.blocks, b.start)
-	}
-	delete(p.blockPg, pg)
-}
-
-// dropSupers invalidates every superblock with a constituent op on the
-// given page. Traces span pages, so a trace invalidated here may still
-// sit (now invalid) in other pages' lists; entries are skipped on later
-// drops and the head block's cached pointer is cleared lazily at
-// dispatch. The executor checks sb.valid after every instruction that
-// can store, so a trace overwriting any of its own pages stops at the
-// next instruction boundary.
-func (p *Process) dropSupers(pg uint64) {
-	list, ok := p.superPg[pg]
-	if !ok {
-		return
-	}
-	for _, sb := range list {
-		if sb.valid {
-			sb.valid = false
+// dropTraces invalidates every trace decoded from the given page. Traces
+// are marked invalid (the executor checks the flag after every op that
+// can store, so a trace invalidated by its own store stops immediately)
+// and one-block traces are unregistered so the next lookup re-decodes
+// from current bytes. A spliced trace may still sit, now invalid, in
+// other pages' lists; it is skipped on later drops and its head's hot
+// pointer is cleared lazily at dispatch.
+func (p *Process) dropTraces(pg uint64) {
+	for _, tr := range p.tracePg[pg] {
+		if !tr.valid {
+			continue
+		}
+		tr.valid = false
+		if tr.spliced {
 			p.superInval++
+		} else {
+			delete(p.traces, tr.start)
 		}
 	}
-	delete(p.superPg, pg)
+	delete(p.tracePg, pg)
 }
 
 // noteCodePage widens the decoded-state page bounds used by invalidate's
@@ -495,8 +469,7 @@ func (p *Process) Stats() cpu.Stats {
 
 // AddSampleHook registers fn to run after every scheduler quantum and
 // returns a function that removes exactly this registration — safe no
-// matter what hooks were added or removed in between, unlike saving and
-// restoring the SampleHook field.
+// matter what hooks were added or removed in between.
 func (p *Process) AddSampleHook(fn func(t *Thread)) (remove func()) {
 	h := &sampleHook{fn: fn}
 	p.sampleHooks = append(p.sampleHooks, h)
@@ -512,12 +485,8 @@ func (p *Process) AddSampleHook(fn func(t *Thread)) (remove func()) {
 	}
 }
 
-// sample dispatches the end-of-quantum hooks: the legacy single-owner
-// field first, then every registered hook in registration order.
+// sample dispatches the end-of-quantum hooks in registration order.
 func (p *Process) sample(t *Thread) {
-	if p.SampleHook != nil {
-		p.SampleHook(t)
-	}
 	for _, h := range p.sampleHooks {
 		h.fn(t)
 	}

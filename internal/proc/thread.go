@@ -23,12 +23,11 @@ type Thread struct {
 
 	proc *Process
 
-	// Trace-resume state: set when a quantum runs dry mid-superblock so
-	// the next quantum re-enters the trace at the exact op instead of
-	// re-dispatching through the block map. Consumed (and re-validated)
-	// by runQuantum.
-	resumeSB  *superblock
-	resumeIdx int
+	// Resume point: set when a quantum runs dry mid-trace so the next
+	// quantum re-enters the trace at the exact op instead of dispatching
+	// at the cut point. Consumed (and re-validated) by runQuantum.
+	resume   *trace
+	resumeAt int
 }
 
 // Reg reads a register (RZ reads zero).

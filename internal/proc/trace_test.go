@@ -193,3 +193,47 @@ func TestRunUntilHaltNeverOvershoots(t *testing.T) {
 		t.Errorf("sliced vs one-shot stats diverged:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestSpliceBackoffOnUnformableLeaf: a hot block that can never head a
+// spliced trace — a single-block leaf ending in RET, reached through an
+// indirect call so no trace folds it in — must not be re-walked every
+// spliceHeat dispatches for the life of the process: each failed attempt
+// doubles the bar, so attempts grow with the logarithm of the dispatch
+// count, not linearly.
+func TestSpliceBackoffOnUnformableLeaf(t *testing.T) {
+	const calls = 50_000
+	p := build.NewProgram("leafloop")
+	leaf := p.Func("leaf")
+	leaf.AddI(isa.R4, isa.R4, 3)
+	leaf.Ret()
+	m := p.Func("main")
+	m.FuncPtr(isa.R6, "leaf")
+	m.MovI(isa.R1, 0)
+	m.While(func() { m.CmpI(isa.R1, calls) }, isa.LT, func() {
+		m.CallR(isa.R6)
+		m.AddI(isa.R1, isa.R1, 1)
+	})
+	m.Halt()
+	p.SetEntry("main")
+	pr := loadOrDie(t, assembleOrDie(t, p), Options{})
+	pr.RunUntilHalt(0)
+	if err := pr.Fault(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pr.Threads[0].Regs[isa.R4]; got != 3*calls {
+		t.Fatalf("leaf ran %d/3 times, want %d", got, calls)
+	}
+	blk := pr.traces[pr.Threads[0].Regs[isa.R6]]
+	if blk == nil || blk.hot != nil {
+		t.Fatalf("leaf block missing or spliced: %+v", blk)
+	}
+	// fails counts the splice attempts made from the leaf, all of them
+	// failures. Without back-off that is calls/spliceHeat = 781; with
+	// doubling, 64+128+...+64<<k <= calls gives k+1 = 9.
+	if blk.fails < 8 || blk.fails > 10 {
+		t.Errorf("%d splice attempts from the leaf in %d dispatches, want ~9: failed formation never gives up", blk.fails, calls)
+	}
+	if sb := pr.SuperblockStats(); sb.Formed == 0 {
+		t.Errorf("the loop around the leaf never spliced: %+v", sb)
+	}
+}

@@ -1,15 +1,16 @@
 #!/usr/bin/env sh
 # Benchmark runner, two sections:
 #
-# 1. Interpreter throughput: runs BenchmarkStep for all three execution
-#    tiers — the superblock trace engine, the basic-block cache it sits
-#    on, and the legacy per-instruction baseline — and writes
-#    BENCH_proc.json with each tier's simulated-instructions-per-second
-#    plus the tier-over-tier speedups, all measured in the same run. The
-#    benchmark is invoked COUNT separate times — each invocation
-#    measures the tiers back to back, so they share machine-noise
-#    conditions — and the best run per tier is kept: wall-clock noise on
-#    shared machines only ever slows a run down. See docs/perf.md.
+# 1. Interpreter throughput: runs BenchmarkStep in its three modes —
+#    the trace engine with splicing on ("super"), with splicing off
+#    ("block"), and the per-instruction Step reference ("legacy") — and
+#    writes BENCH_proc.json with each mode's simulated-instructions-
+#    per-second plus the ratios between them, all measured in the same
+#    run. The benchmark is invoked COUNT separate times — each
+#    invocation measures the modes back to back, so they share
+#    machine-noise conditions — and the best run per mode is kept:
+#    wall-clock noise on shared machines only ever slows a run down.
+#    See docs/perf.md.
 #
 # 2. Fleet wave: drives FLEET_SERVICES (default 1000) mixed-workload
 #    replicas through one sharded optimization wave under the race
