@@ -257,7 +257,7 @@ func main() {
 	}
 
 	fmt.Println("fleet state report:")
-	rep.Write(os.Stdout)
+	fleet.WriteStatusTable(os.Stdout, rep)
 	fmt.Printf("\nwave completed in %.2fs host time, peak concurrent pauses %d\n",
 		time.Since(t0).Seconds(), m.PeakPauses())
 	if stats, ok := m.CacheStats(); ok {

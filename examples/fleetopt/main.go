@@ -78,7 +78,7 @@ func main() {
 
 	m.Optimize(scan, fleet.WaveOptions{})
 	fmt.Println("\nafter one optimization wave (services below 1.02x are reverted):")
-	m.Report().Write(os.Stdout)
+	fleet.WriteStatusTable(os.Stdout, m.Snapshot())
 
 	fmt.Println("\nfleet metrics:")
 	metrics.WriteReport(os.Stdout)

@@ -459,11 +459,6 @@ type BuildStats struct {
 	LayoutKey string
 }
 
-// SetLayoutCache swaps the layout cache consulted by BuildOptimized
-// (nil disables caching). The fleet manager uses it to honor per-wave
-// cache toggles; it must not be called while a round is in flight.
-func (c *Controller) SetLayoutCache(lc layout.Cache) { c.opts.LayoutCache = lc }
-
 // boltOptions derives the per-round optimizer options for the next
 // version.
 func (c *Controller) boltOptions() bolt.Options {
@@ -535,8 +530,6 @@ func (c *Controller) BuildOptimized(raw *perf.RawProfile) (*BuildStats, error) {
 			trace.String("cache_key", key.String()))
 		bsp.SetAttrs(entry.Result.TraceAttrs()...)
 		bsp.End(nil)
-		c.opts.Metrics.CounterVec("core_layout_cache_total", "outcome").
-			With(string(outcome)).Inc()
 		stats = &BuildStats{CacheHit: true}
 	}
 	stats.LayoutKey = key.String()

@@ -101,18 +101,18 @@ func FleetScale(cfg Config) error {
 	}
 
 	cfg.printf("Fleet deployment (§V): %d services, %d workers, pauses staggered %d at a time\n\n",
-		len(rep.Services), m.Config().Workers, m.Config().MaxPauses)
-	rep.Write(cfg.Out)
+		len(rep), m.Config().Workers, m.Config().MaxPauses)
+	fleet.WriteStatusTable(cfg.Out, rep)
 
 	var steady, reverted, totalRounds int
 	var pause, gain float64
-	for _, s := range rep.Services {
+	for _, s := range rep {
 		totalRounds += len(s.Rounds)
 		pause += s.PauseSeconds
 		switch s.State {
 		case fleet.Steady:
 			steady++
-			gain += s.FinalSpeedup
+			gain += s.Speedup
 		case fleet.Reverted:
 			reverted++
 		}
@@ -134,17 +134,17 @@ func FleetScale(cfg Config) error {
 }
 
 // WriteFleetCSV saves the fleet outcome table in a plot-ready form.
-func WriteFleetCSV(rep *fleet.FleetReport, path string) error {
+func WriteFleetCSV(rep []fleet.ServiceStatus, path string) error {
 	return writeCSV(path, [][]string{{
 		"service", "state", "selected", "frontend_share", "rounds", "speedup", "pause_s", "retries",
 	}}, func(w *csv.Writer) error {
-		for _, s := range rep.Services {
+		for _, s := range rep {
 			if err := w.Write([]string{
 				s.Name, s.State.String(),
 				fmt.Sprintf("%v", s.Selected),
 				fmt.Sprintf("%.4f", s.FrontEnd),
 				fmt.Sprintf("%d", len(s.Rounds)),
-				fmt.Sprintf("%.4f", s.FinalSpeedup),
+				fmt.Sprintf("%.4f", s.Speedup),
 				fmt.Sprintf("%.6f", s.PauseSeconds),
 				fmt.Sprintf("%d", s.Retries),
 			}); err != nil {

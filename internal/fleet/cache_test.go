@@ -30,7 +30,7 @@ func homogeneousFleet(t *testing.T, n int, cfg Config) (*Manager, []*Service) {
 	cfg.SkipGate = true
 	cfg.Timing = TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002}
 	cfg.Robustness.RetryBackoff = time.Microsecond
-	cfg.Sleep = func(time.Duration) {}
+	cfg.Clock = &recClock{}
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,14 +92,14 @@ func TestHomogeneousWaveHitsCache(t *testing.T) {
 	// the cached code keep (or improve) their throughput. The Small
 	// config over micro windows yields only marginal wins, so this
 	// asserts no-regression rather than a speedup floor.
-	for name, sp := range m.Report().Speedups() {
-		if sp < 0.95 {
-			t.Errorf("%s at %.2fx of baseline on the cached layout", name, sp)
+	for _, st := range m.Snapshot() {
+		if st.Speedup < 0.95 {
+			t.Errorf("%s at %.2fx of baseline on the cached layout", st.Name, st.Speedup)
 		}
 	}
 }
 
-// TestWaveNoCacheAblation: WaveOptions.NoCache is the redundant-work
+// TestWaveNoCacheAblation: Config.Cache.Disable is the redundant-work
 // baseline — every replica pays its own BOLT run.
 func TestWaveNoCacheAblation(t *testing.T) {
 	if testing.Short() {
@@ -107,10 +107,10 @@ func TestWaveNoCacheAblation(t *testing.T) {
 	}
 	const n = 4
 	reg := telemetry.NewRegistry()
-	m, _ := homogeneousFleet(t, n, Config{Workers: 2, Metrics: reg})
-	m.Optimize(m.Scan(ScanOptions{}), WaveOptions{NoCache: true})
-	if stats, _ := m.CacheStats(); stats.Requests() != 0 {
-		t.Errorf("NoCache wave touched the cache: %+v", stats)
+	m, _ := homogeneousFleet(t, n, Config{Workers: 2, Metrics: reg, Cache: CacheConfig{Disable: true}})
+	m.Optimize(m.Scan(ScanOptions{}), WaveOptions{})
+	if stats, ok := m.CacheStats(); ok || stats.Requests() != 0 {
+		t.Errorf("cacheless wave touched a cache: %+v", stats)
 	}
 	if bolts := reg.Counter("core_bolt_invocations_total").Value(); bolts != n {
 		t.Errorf("bolt invocations = %v, want %d without the cache", bolts, n)

@@ -48,7 +48,7 @@ func TestConcurrentFleet(t *testing.T) {
 			MaxRetries:   1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:    func(time.Duration) {},
+		Clock:    &recClock{},
 		SkipGate: true, // small-scale workloads sit below the TopDown gate
 		Timing:   TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		Metrics:  reg,
@@ -161,10 +161,10 @@ func TestConcurrentFleet(t *testing.T) {
 	}
 
 	// The report covers the whole fleet and agrees with the services.
-	if len(rep.Services) != len(clean)+5 {
-		t.Fatalf("report has %d services, want %d", len(rep.Services), len(clean)+5)
+	if len(rep) != len(clean)+5 {
+		t.Fatalf("report has %d services, want %d", len(rep), len(clean)+5)
 	}
-	for _, sr := range rep.Services {
+	for _, sr := range rep {
 		if sr.State != byName[sr.Name].State() {
 			t.Errorf("report state %s for %s disagrees with service %s",
 				sr.State, sr.Name, byName[sr.Name].State())

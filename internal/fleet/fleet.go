@@ -24,9 +24,11 @@
 // drains every shard's queue concurrently. All selected services share
 // one content-addressed layout.Cache — identical binaries with
 // statistically identical profiles reuse a single BOLT run per round
-// ("optimize once, deploy everywhere", §V) — and trace-journal /
-// telemetry writes are batched off the wave hot path by a bounded
-// flusher.
+// ("optimize once, deploy everywhere", §V). Every trace-journal and
+// telemetry write of a wave happens inline, at its program point, on
+// the worker that caused it — serial, concurrent and replayed waves
+// share that one write path — so a service's journal events are in
+// program order in every wave.
 package fleet
 
 import (
@@ -124,11 +126,6 @@ type DriftConfig struct {
 	// Stream tunes the continuous sampler attached to each service
 	// (period, overhead); zero fields take the perf defaults.
 	Stream perf.RecorderOptions
-	// StoreCapacity bounds each service's sample ring (default 8192).
-	StoreCapacity int
-	// StoreHalfLife is the decay half-life of each store's rolling
-	// edge-weight view (default 10 ms simulated).
-	StoreHalfLife float64
 }
 
 // Config carries the manager's named knobs with validated defaults,
@@ -163,13 +160,6 @@ type Config struct {
 	// verdict (tests and force-rollouts).
 	SkipGate bool
 
-	// FlushBuffer bounds the async flusher that batches trace-journal
-	// and telemetry writes off the wave hot path (default 256 pending
-	// writes; the wave blocks, bounded, when it outruns the drain).
-	// Negative disables batching: writes happen inline, as they also do
-	// under an active replay session.
-	FlushBuffer int
-
 	// Metrics receives the fleet's counters, gauges, and histograms; it
 	// is also wired into every controller the manager creates. Nil means
 	// metrics are discarded.
@@ -188,15 +178,11 @@ type Config struct {
 	// for the revert action itself.
 	FaultHook func(s *Service, stage State) error
 
-	// Sleep overrides how backoff waits are performed; nil means
-	// Clock.Sleep. Tests inject a recorder to observe backoff without
-	// waiting.
-	Sleep func(time.Duration)
-
 	// Clock supplies every wall-clock read and backoff sleep the fleet
 	// performs (service added/updated timestamps, pause-wait timing);
 	// nil means the host's real clock. The record/replay layer swaps in
-	// a journaling clock so timestamps replay deterministically.
+	// a journaling clock so timestamps replay deterministically; tests
+	// pass one that records backoff waits without waiting.
 	Clock replay.Clock
 
 	// JitterSeed seeds the retry-backoff jitter source (default 1), so a
@@ -221,12 +207,11 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Workers < 0 || c.MaxPauses < 0 || c.Shards < 0 ||
 		c.Robustness.MaxRounds < 0 || c.Robustness.MaxRetries < 0 ||
-		c.Robustness.QuarantineAfter < 0 || c.Drift.StoreCapacity < 0 {
+		c.Robustness.QuarantineAfter < 0 {
 		return fmt.Errorf("fleet: negative count in config: %+v", c)
 	}
 	if c.Timing.ProfileDur < 0 || c.Timing.Warm < 0 || c.Timing.Window < 0 ||
-		c.Robustness.RevertBelow < 0 || c.Robustness.RetryBackoff < 0 ||
-		c.Drift.StoreHalfLife < 0 {
+		c.Robustness.RevertBelow < 0 || c.Robustness.RetryBackoff < 0 {
 		return fmt.Errorf("fleet: negative duration/threshold in config: %+v", c)
 	}
 	if c.Cache.Disable && c.Cache.Layout != nil {
@@ -270,9 +255,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Shards == 0 {
 		c.Shards = 4
-	}
-	if c.FlushBuffer == 0 {
-		c.FlushBuffer = 256
 	}
 	if c.Timing.ProfileDur == 0 {
 		c.Timing.ProfileDur = 0.004
@@ -335,15 +317,6 @@ func seededJitter(seed int64) func() float64 {
 	}
 }
 
-// sleepOverride substitutes the Sleep behavior of a Clock (Config.Sleep
-// compatibility: tests record backoff waits without waiting).
-type sleepOverride struct {
-	replay.Clock
-	sleep func(time.Duration)
-}
-
-func (c sleepOverride) Sleep(d time.Duration) { c.sleep(d) }
-
 // ServicePlan names everything needed to stand up one managed service,
 // replacing NewService's positional (name, w, input, threads, opts)
 // signature.
@@ -380,8 +353,7 @@ type Service struct {
 	topdown   cpu.TopDown
 	baseline  wl.WindowStats
 	lastErr   error
-	root      *trace.Span  // per-service trace root, nil without a tracer
-	emit      func(func()) // wave flusher hook; nil = inline writes
+	root      *trace.Span // per-service trace root, nil without a tracer
 	clock     replay.Clock
 	addedAt   time.Time
 	updatedAt time.Time
@@ -455,15 +427,6 @@ func (s *Service) setRoot(sp *trace.Span) {
 	s.Ctl.SetTraceRoot(sp)
 }
 
-// setEmit installs (or clears, with nil) the wave's async write hook:
-// while set, the service's lifecycle events route through the wave
-// flusher instead of being journaled inline.
-func (s *Service) setEmit(fn func(func())) {
-	s.mu.Lock()
-	s.emit = fn
-	s.mu.Unlock()
-}
-
 // Measure measures the service's current throughput over the scan
 // window (opts.MinThroughput is ignored: Measure reports, Scan gates).
 func (s *Service) Measure(opts ScanOptions) float64 {
@@ -535,16 +498,11 @@ func (sh *mgrShard) snapshot() []*Service {
 type Manager struct {
 	cfg      Config
 	pauseSem chan struct{}
-	clock    replay.Clock   // cfg.Clock, session-wrapped, Sleep-overridden
+	clock    replay.Clock   // cfg.Clock, session-wrapped
 	jitter   func() float64 // backoff jitter source, session-wrapped
 	cache    layout.Cache   // fleet-wide layout cache, nil when disabled
 
 	shards []*mgrShard
-
-	// fl is the wave's write flusher. It is installed before a wave's
-	// workers start and cleared after they join, so worker goroutines
-	// read it race-free; outside a wave it is nil and writes are inline.
-	fl *flusher
 
 	pmu       sync.Mutex // pause accounting, separate from shard locks
 	inPause   int
@@ -560,10 +518,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	registerBaseMetrics(cfg.Metrics)
-	clock := cfg.Clock
-	if cfg.Sleep != nil {
-		clock = sleepOverride{Clock: clock, sleep: cfg.Sleep}
-	}
 	jitter := cfg.Jitter
 	if jitter == nil {
 		jitter = seededJitter(cfg.JitterSeed)
@@ -579,7 +533,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:      cfg,
 		pauseSem: make(chan struct{}, cfg.MaxPauses),
-		clock:    cfg.Replay.Clock(clock),
+		clock:    cfg.Replay.Clock(cfg.Clock),
 		jitter:   cfg.Replay.Jitter(jitter),
 		cache:    cache,
 		shards:   shards,
@@ -661,12 +615,7 @@ func (m *Manager) AddService(plan ServicePlan) (*Service, error) {
 		return nil, err
 	}
 	if m.cfg.Drift.Enabled {
-		s.store = profile.NewStore(profile.StoreOptions{
-			Service:  s.Name,
-			Capacity: m.cfg.Drift.StoreCapacity,
-			HalfLife: m.cfg.Drift.StoreHalfLife,
-			Replay:   m.cfg.Replay,
-		})
+		s.store = profile.NewStore(profile.StoreOptions{Service: s.Name, Replay: m.cfg.Replay})
 		s.tracker = profile.NewTracker()
 		// The continuous sampler streams into the store for the life of
 		// the service; its sample timing goes through the same replay
@@ -701,16 +650,6 @@ func (m *Manager) Services() []*Service {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// async routes one trace/telemetry write through the wave's flusher
-// when one is installed, and runs it inline otherwise.
-func (m *Manager) async(fn func()) {
-	if f := m.fl; f != nil {
-		f.enqueue(fn)
-		return
-	}
-	fn()
 }
 
 // ScanResult is the first-stage verdict for one service.
@@ -749,9 +688,6 @@ type ScanOptions struct {
 	// and selects the ones whose drift verdict fired. Requires
 	// Config.Drift.Enabled.
 	Drift bool
-	// ReoptPolicy overrides Config.Drift.Policy for this drift scan
-	// (nil = the configured policy).
-	ReoptPolicy *profile.ReoptPolicy
 }
 
 // Scan runs the first-stage TopDown check on every service (the
@@ -804,12 +740,6 @@ func (m *Manager) Scan(opts ScanOptions) []ScanResult {
 // deterministic: divergence score descending, then name ascending.
 func (m *Manager) driftScan(opts ScanOptions) []ScanResult {
 	pol := m.cfg.Drift.Policy
-	if opts.ReoptPolicy != nil {
-		pol = opts.ReoptPolicy.WithDefaults()
-		if pol.Window == 0 {
-			pol.Window = m.cfg.Timing.ProfileDur
-		}
-	}
 	var out []ScanResult
 	for _, s := range m.Services() {
 		if s.State() != Steady || s.store == nil || s.tracker == nil {
@@ -835,12 +765,10 @@ func (m *Manager) driftScan(opts ScanOptions) []ScanResult {
 		s.selected = dec.Trigger
 		td := s.topdown
 		s.mu.Unlock()
-		m.async(func() {
-			s.rootSpan().Event(trace.EvDriftDecision,
-				trace.Float("score", dec.Score),
-				trace.Bool("trigger", dec.Trigger),
-				trace.String("reason", dec.Reason))
-		})
+		s.rootSpan().Event(trace.EvDriftDecision,
+			trace.Float("score", dec.Score),
+			trace.Bool("trigger", dec.Trigger),
+			trace.String("reason", dec.Reason))
 		out = append(out, ScanResult{
 			Service:     s,
 			TopDown:     td,
@@ -861,9 +789,9 @@ func (m *Manager) driftScan(opts ScanOptions) []ScanResult {
 
 // Run is the whole fleet pass: scan every service, then drive each
 // selected one through its optimization lifecycle on the worker pool.
-// Per-service outcomes (including faults) land in the report, not in
-// the error return, which is reserved for fleet-level misuse.
-func (m *Manager) Run() (*FleetReport, error) {
+// Per-service outcomes (including faults) land in the returned snapshot,
+// not in the error return, which is reserved for fleet-level misuse.
+func (m *Manager) Run() ([]ServiceStatus, error) {
 	if len(m.Services()) == 0 {
 		return nil, fmt.Errorf("fleet: no services added")
 	}
@@ -880,7 +808,7 @@ func (m *Manager) Run() (*FleetReport, error) {
 			}
 		}
 	}
-	return m.Report(), nil
+	return m.Snapshot(), nil
 }
 
 // WaveOptions configures one optimization wave.
@@ -890,17 +818,6 @@ type WaveOptions struct {
 	// automatically while a record/replay session is active: replay
 	// needs a deterministic decision order.
 	Serial bool
-	// NoCache runs this wave without the fleet layout cache: every
-	// service pays its own perf2bolt+BOLT pipeline (the redundant-work
-	// baseline the cache is measured against).
-	NoCache bool
-	// ReoptPolicy overrides Config.Drift.Policy for this wave's re-opt
-	// budget enforcement: when the scan carries drift verdicts, at most
-	// Policy.ShardBudget triggered services per shard are driven (ordered
-	// by divergence score) and the rest are demoted to "budget" — a
-	// fleet-wide phase turn must not become a fleet-wide pause storm.
-	// Nil means the configured policy.
-	ReoptPolicy *profile.ReoptPolicy
 }
 
 // Optimize drives every scan-selected service (every scanned service
@@ -908,16 +825,13 @@ type WaveOptions struct {
 // services split into their name-hashed shard queues, each queue drains
 // independently, and the global Config.Workers budget bounds how many
 // lifecycles run at once across all shards. Unselected services
-// transition Idle → Steady untouched. Trace-journal and telemetry
-// writes are batched through a bounded flusher for the duration of the
-// wave (unless the wave is serial); everything is flushed before
-// Optimize returns. It blocks until the whole wave reaches a terminal
-// state.
+// transition Idle → Steady untouched. When the scan carries drift
+// verdicts, at most Config.Drift.Policy.ShardBudget triggered services
+// per shard are driven and the rest are demoted to "budget" — a
+// fleet-wide phase turn must not become a fleet-wide pause storm. It
+// blocks until the whole wave reaches a terminal state.
 func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 	pol := m.cfg.Drift.Policy
-	if wave.ReoptPolicy != nil {
-		pol = wave.ReoptPolicy.WithDefaults()
-	}
 	budgetUsed := make(map[int]int)
 	var selected []*Service
 	for _, r := range scan {
@@ -945,12 +859,10 @@ func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 				s.mu.Unlock()
 				dec := profile.Decision{Score: r.DriftScore, Reason: profile.ReasonBudget}
 				dec.Journal(m.cfg.Replay, s.Name)
-				m.async(func() {
-					s.rootSpan().Event(trace.EvDriftDecision,
-						trace.Float("score", dec.Score),
-						trace.Bool("trigger", false),
-						trace.String("reason", dec.Reason))
-				})
+				s.rootSpan().Event(trace.EvDriftDecision,
+					trace.Float("score", dec.Score),
+					trace.Bool("trigger", false),
+					trace.String("reason", dec.Reason))
 				continue
 			}
 			budgetUsed[shard]++
@@ -968,30 +880,14 @@ func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 		m.cfg.Metrics.Gauge("fleet_services").Set(float64(len(scan)))
 		m.cfg.Metrics.Gauge("fleet_selected").Set(float64(len(selected)))
 	}
-	cache := m.cache
-	if wave.NoCache {
-		cache = nil
-	}
-	for _, s := range selected {
-		s.Ctl.SetLayoutCache(cache)
-	}
 
 	if wave.Serial || m.cfg.Replay.Active() {
-		// One service at a time in scan order; writes stay inline so the
-		// replay journal sees every decision at its program point.
+		// One service at a time in scan order, so the replay journal sees
+		// every decision in a deterministic order.
 		for _, s := range selected {
 			m.drive(s)
 		}
 		return
-	}
-
-	var fl *flusher
-	if m.cfg.FlushBuffer >= 0 {
-		fl = newFlusher(m.cfg.FlushBuffer)
-		m.fl = fl
-		for _, s := range selected {
-			s.setEmit(fl.enqueue)
-		}
 	}
 
 	// Per-shard queues drain independently; the token channel is the
@@ -1025,14 +921,6 @@ func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 		}(q)
 	}
 	wg.Wait()
-
-	if fl != nil {
-		m.fl = nil
-		for _, s := range selected {
-			s.setEmit(nil)
-		}
-		fl.close()
-	}
 }
 
 // acquirePause takes a slot in the global stop-the-world budget,
@@ -1049,11 +937,8 @@ func (m *Manager) acquirePause() {
 	peak := m.peakPause
 	m.pmu.Unlock()
 	if mt := m.cfg.Metrics; mt != nil {
-		wait := m.clock.Now().Sub(t0).Seconds()
-		m.async(func() {
-			mt.Histogram("fleet_pause_wait_seconds").Observe(wait)
-			mt.Gauge("fleet_pauses_peak").Set(float64(peak))
-		})
+		mt.Histogram("fleet_pause_wait_seconds").Observe(m.clock.Now().Sub(t0).Seconds())
+		mt.Gauge("fleet_pauses_peak").Set(float64(peak))
 	}
 }
 

@@ -52,15 +52,18 @@ func TestFleetScanAndOptimize(t *testing.T) {
 	}
 
 	m.Optimize(scan, WaveOptions{})
-	rep := m.Report()
-	speedups := rep.Speedups()
+	rep := m.Snapshot()
+	speedups := map[string]float64{}
+	for _, sr := range rep {
+		speedups[sr.Name] = sr.Speedup
+	}
 	if speedups["db"] < 1.15 {
 		t.Errorf("db speedup %.2f too low", speedups["db"])
 	}
 	if speedups["kv"] != 1.0 {
 		t.Errorf("kv was optimized despite the gate: %.2f", speedups["kv"])
 	}
-	for _, sr := range rep.Services {
+	for _, sr := range rep {
 		if sr.State != Steady {
 			t.Errorf("%s ended %s, want Steady", sr.Name, sr.State)
 		}
@@ -96,7 +99,7 @@ func TestFleetRevertSafetyNet(t *testing.T) {
 	if s.Ctl.Version() < 2 {
 		t.Error("revert should have advanced the version counter")
 	}
-	rep := m.Report().Services[0]
+	rep := m.Snapshot()[0]
 	s.Proc.RunFor(0.002)
 	if rep.Baseline <= 0 {
 		t.Fatalf("no baseline recorded: %+v", rep)
@@ -174,8 +177,6 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		{Drift: DriftConfig{Enabled: true, Policy: profile.ReoptPolicy{MinDivergence: -0.5}}},
 		{Drift: DriftConfig{Enabled: true, Policy: profile.ReoptPolicy{MinDwell: -1}}},
 		{Drift: DriftConfig{Enabled: true, Policy: profile.ReoptPolicy{Cooldown: -1}}},
-		{Drift: DriftConfig{StoreCapacity: -1}},
-		{Drift: DriftConfig{StoreHalfLife: -0.5}},
 	} {
 		if _, err := NewManager(bad); err == nil {
 			t.Errorf("config %+v accepted, want error", bad)

@@ -98,7 +98,7 @@ func TestFleetWaveBench(t *testing.T) {
 			MaxRounds:    1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:   func(time.Duration) {},
+		Clock:   &recClock{},
 		Metrics: reg,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,6 +78,22 @@ func TestIllegalTransitionRecorded(t *testing.T) {
 	}
 }
 
+// recClock is the tests' replay.Clock: host-time reads, and backoff
+// sleeps recorded instead of waited. One instance serves a whole
+// (possibly concurrent) wave.
+type recClock struct {
+	mu     sync.Mutex
+	sleeps []time.Duration
+}
+
+func (c *recClock) Now() time.Time { return time.Now() }
+
+func (c *recClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.sleeps = append(c.sleeps, d)
+	c.mu.Unlock()
+}
+
 // faultFleet stands up a one-service manager over a small sqldb with the
 // given fault hook and drives a full wave, returning the service and the
 // metrics registry for assertions.
@@ -95,7 +112,7 @@ func faultFleet(t *testing.T, maxRounds int, hook func(s *Service, stage State) 
 			MaxRetries:   1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:     func(time.Duration) {},
+		Clock:     &recClock{},
 		SkipGate:  true,
 		Timing:    TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		Metrics:   reg,
@@ -174,7 +191,7 @@ func TestInjectedFaults(t *testing.T) {
 
 func TestRetryBackoffRecovers(t *testing.T) {
 	boom := errors.New("transient build fault")
-	var sleeps []time.Duration
+	clk := &recClock{}
 	attempts := 0
 	db, err := sqldb.Build(sqldb.Small())
 	if err != nil {
@@ -187,7 +204,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 			MaxRetries:   2,
 			RetryBackoff: 4 * time.Millisecond,
 		},
-		Sleep:    func(d time.Duration) { sleeps = append(sleeps, d) },
+		Clock:    clk,
 		Jitter:   func() float64 { return 0 }, // pin: assert the pure doubling base
 		SkipGate: true,
 		Timing:   TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
@@ -222,12 +239,12 @@ func TestRetryBackoffRecovers(t *testing.T) {
 	if len(s.Rounds()) != 1 {
 		t.Errorf("recorded %d rounds, want 1", len(s.Rounds()))
 	}
-	rep := m.Report().Services[0]
+	rep := m.Snapshot()[0]
 	if rep.Retries != 2 {
 		t.Errorf("report retries = %d, want 2", rep.Retries)
 	}
 	// Backoff doubles per attempt.
-	if len(sleeps) != 2 || sleeps[0] != 4*time.Millisecond || sleeps[1] != 8*time.Millisecond {
+	if sleeps := clk.sleeps; len(sleeps) != 2 || sleeps[0] != 4*time.Millisecond || sleeps[1] != 8*time.Millisecond {
 		t.Errorf("backoff sleeps = %v, want [4ms 8ms]", sleeps)
 	}
 }

@@ -64,7 +64,7 @@ func quarantineManager(t *testing.T, workers int, reg *telemetry.Registry, sess 
 			MaxRetries:   1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:    func(time.Duration) {},
+		Clock:    &recClock{},
 		SkipGate: true,
 		Timing:   TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		Metrics:  reg,
@@ -142,7 +142,7 @@ func TestTraceeFaultQuarantinesNotFails(t *testing.T) {
 	if before != nil || s.Proc.Fault() != nil {
 		t.Errorf("process faulted after quarantine: %v", s.Proc.Fault())
 	}
-	rep := m.Report().Services[0]
+	rep := m.Snapshot()[0]
 	if rep.State != Quarantined || rep.Rollbacks != 2 {
 		t.Errorf("report: state %s rollbacks %d", rep.State, rep.Rollbacks)
 	}

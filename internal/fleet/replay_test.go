@@ -91,7 +91,7 @@ func TestFleetQuarantineReplayRoundTrip(t *testing.T) {
 // returns the backoff waits the manager actually slept.
 func retrySchedule(t *testing.T, seed int64) []time.Duration {
 	t.Helper()
-	var sleeps []time.Duration
+	clk := &recClock{}
 	attempts := 0
 	db, err := sqldb.Build(sqldb.Small())
 	if err != nil {
@@ -105,7 +105,7 @@ func retrySchedule(t *testing.T, seed int64) []time.Duration {
 			RetryBackoff: 4 * time.Millisecond,
 		},
 		JitterSeed: seed,
-		Sleep:      func(d time.Duration) { sleeps = append(sleeps, d) },
+		Clock:      clk,
 		SkipGate:   true,
 		Timing:     TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		FaultHook: func(s *Service, stage State) error {
@@ -136,7 +136,7 @@ func retrySchedule(t *testing.T, seed int64) []time.Duration {
 	if got := s.State(); got != Steady {
 		t.Fatalf("ended %s, want Steady after retries: %v", got, s.Err())
 	}
-	return sleeps
+	return clk.sleeps
 }
 
 // TestSeededJitterDeterministic: retry backoff jitter comes from a

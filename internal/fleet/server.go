@@ -181,10 +181,21 @@ func (cp *ControlPlane) profileStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, cp.m.ProfileStatuses(top))
 }
 
+// maxProfilePush bounds a POST /profile body: the endpoint takes bytes
+// from outside the process, so an unbounded decode is a memory-exhaustion
+// handle. 8 MiB holds about one full default-capacity store (8192
+// samples of 32 LBR records) in this JSON encoding.
+const maxProfilePush = 8 << 20
+
 func (cp *ControlPlane) profileIngest(w http.ResponseWriter, r *http.Request) {
 	var push ProfilePush
-	if err := json.NewDecoder(r.Body).Decode(&push); err != nil {
-		http.Error(w, fmt.Sprintf("bad profile push: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProfilePush)).Decode(&push); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad profile push: %v", err), status)
 		return
 	}
 	if push.Service == "" {

@@ -263,6 +263,16 @@ func TestControlPlaneProfilePost(t *testing.T) {
 	if rec = post(t, h, "/profile", `{"service": "nope", "samples": []}`); rec.Code != http.StatusNotFound {
 		t.Errorf("push to unknown service = %d, want 404", rec.Code)
 	}
+	// A body past the size limit is refused before it is decoded into
+	// memory, and nothing of it reaches the store.
+	huge := `{"service": "svc", "samples": [{"at": 0.012, "records": [` +
+		strings.Repeat(`{"from": 256, "to": 512},`, maxProfilePush/24) + `{"from": 256, "to": 512}]}]}`
+	if rec = post(t, h, "/profile", huge); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized push (%d bytes) = %d, want 413", len(huge), rec.Code)
+	}
+	if st, _ := m.ProfileStatus("svc", 0); st.Samples != after.Samples || st.Records != after.Records {
+		t.Errorf("rejected pushes reached the store: %+v -> %+v", after.StoreStats, st.StoreStats)
+	}
 
 	del := httptest.NewRecorder()
 	h.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, "/profile", nil))

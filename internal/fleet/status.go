@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 )
@@ -29,10 +30,10 @@ func (s *State) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("fleet: unknown state %q", name)
 }
 
-// ServiceStatus is the externally consumable snapshot of one managed
-// service: everything the report table, the control plane's /services
-// endpoint, and operators polling the fleet need, with JSON field names
-// stable across releases.
+// ServiceStatus is the one record of a managed service's outcome: what
+// Run returns, what WriteStatusTable prints, and what the control plane's
+// /services endpoint serves, with JSON field names stable across
+// releases.
 type ServiceStatus struct {
 	Name     string `json:"name"`
 	State    State  `json:"state"`
@@ -107,8 +108,8 @@ func (s *Service) Status() ServiceStatus {
 
 // Snapshot captures the whole fleet, sorted by service name. It is safe
 // to call at any time, including mid-wave: each service is snapshotted
-// under its own lock. Every reporting surface — the text report, the
-// control plane's JSON endpoint — is built on top of it.
+// under its own lock. Every reporting surface — Run's result, the text
+// table, the control plane's JSON endpoint — is this slice.
 func (m *Manager) Snapshot() []ServiceStatus {
 	services := m.Services()
 	out := make([]ServiceStatus, 0, len(services))
@@ -117,4 +118,23 @@ func (m *Manager) Snapshot() []ServiceStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// WriteStatusTable renders the per-service table cmd/fleetd and the
+// fleet experiment print.
+func WriteStatusTable(w io.Writer, services []ServiceStatus) {
+	fmt.Fprintf(w, "%-24s %-10s %4s %7s %8s %9s %4s %8s %7s\n",
+		"service", "state", "sel", "rounds", "speedup", "pause_ms", "osr", "retries", "FE%")
+	for _, s := range services {
+		sel := "-"
+		if s.Selected {
+			sel = "yes"
+		}
+		fmt.Fprintf(w, "%-24s %-10s %4s %7d %7.2fx %9.2f %4d %8d %6.1f%%\n",
+			s.Name, s.State, sel, len(s.Rounds), s.Speedup,
+			s.PauseSeconds*1e3, s.OSRFramesMapped, s.Retries, s.FrontEnd*100)
+		if s.LastErr != "" {
+			fmt.Fprintf(w, "%-24s   last error: %s\n", "", s.LastErr)
+		}
+	}
 }

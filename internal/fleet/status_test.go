@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -125,16 +127,20 @@ func TestSnapshotAndTraceAfterWave(t *testing.T) {
 		}
 	}
 
-	// Report is a pure view over Snapshot.
-	rep := m.Report()
+	// The text table is a pure view over Snapshot: a header, then one row
+	// per service carrying its name, state and speedup.
 	snap := m.Snapshot()
-	if len(rep.Services) != len(snap) {
-		t.Fatalf("report has %d services, snapshot %d", len(rep.Services), len(snap))
+	var buf bytes.Buffer
+	WriteStatusTable(&buf, snap)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1+len(snap) {
+		t.Fatalf("table has %d lines, want header + %d services:\n%s", len(lines), len(snap), buf.String())
 	}
-	for i, sr := range rep.Services {
-		if sr.Name != snap[i].Name || sr.State != snap[i].State ||
-			sr.FinalSpeedup != snap[i].Speedup || sr.Err != snap[i].LastErr {
-			t.Errorf("report[%d] diverges from snapshot: %+v vs %+v", i, sr, snap[i])
+	for i, st := range snap {
+		row := lines[1+i]
+		if !strings.HasPrefix(row, st.Name) || !strings.Contains(row, st.State.String()) ||
+			!strings.Contains(row, fmt.Sprintf("%.2fx", st.Speedup)) {
+			t.Errorf("table row %d diverges from snapshot %+v: %q", i, st, row)
 		}
 	}
 }
@@ -163,7 +169,7 @@ func TestRetryAndBackoffEvents(t *testing.T) {
 		Robustness: RobustnessConfig{MaxRounds: 1, MaxRetries: 2},
 		SkipGate:   true, Tracer: tr,
 		Timing: TimingConfig{ProfileDur: 0.0008, Warm: 0.0003, Window: 0.0004},
-		Sleep:  func(time.Duration) {},
+		Clock:  &recClock{},
 		FaultHook: func(s *Service, stage State) error {
 			if stage == Profiling && fails < 1 {
 				fails++
