@@ -177,6 +177,85 @@ func TestVTableMaterialization(t *testing.T) {
 	}
 }
 
+// TestZeroFillData: only the initialized extent of .data is materialized;
+// zero globals after it become the section's zero-fill tail, while the
+// section's size and every data symbol's address are unchanged.
+func TestZeroFillData(t *testing.T) {
+	p := smallProgram()
+	p.Globals = []*Global{
+		{Name: "heap", Size: 1 << 20},
+		{Name: "gcounter", Size: 8, Init: []byte{5, 6, 7}},
+		{Name: "tail", Size: 4096},
+	}
+	b, err := Assemble(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := DataSymbols(p, Options{})
+	vtSize := uint64(16) // vt0: two slots
+	want := map[string]uint64{
+		"vt0":      DefaultDataBase,
+		"heap":     DefaultDataBase + vtSize,
+		"gcounter": DefaultDataBase + vtSize + 1<<20,
+		"tail":     DefaultDataBase + vtSize + 1<<20 + 8,
+	}
+	for name, addr := range want {
+		if syms[name] != addr {
+			t.Errorf("DataSymbols[%s] = %#x, want %#x", name, syms[name], addr)
+		}
+	}
+	data := b.Section(obj.SecData)
+	if got, want := uint64(len(data.Data)), syms["gcounter"]+3-DefaultDataBase; got != want {
+		t.Errorf("len(Data) = %d, want the initialized extent %d", got, want)
+	}
+	if end := syms["tail"] + 4096; data.End() != end {
+		t.Errorf("End = %#x, want %#x", data.End(), end)
+	}
+	raw, err := b.Bytes(syms["gcounter"], 8)
+	if err != nil || raw[0] != 5 || raw[2] != 7 || raw[3] != 0 {
+		t.Errorf("gcounter reads %v, %v", raw, err)
+	}
+}
+
+// TestLinkTrimsAndGrowsData: Link trims trailing zeros of the caller's
+// image into Zero and grows Data into the tail for a v-table placed
+// there, keeping the total size.
+func TestLinkTrimsAndGrowsData(t *testing.T) {
+	frag, err := smallProgram().Funcs[1].Lower(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := LinkInput{
+		Name:       "link",
+		Placements: SequentialPlacement([]*Fragment{frag}, DefaultTextBase, obj.SecText, false),
+		Data:       []byte{1, 0, 0, 0},
+		DataZero:   60,
+		DataBase:   DefaultDataBase,
+	}
+	b, err := Link(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := b.Section(obj.SecData); len(d.Data) != 1 || d.Zero != 63 {
+		t.Errorf("trimmed .data: %d bytes + %d zero, want 1 + 63", len(d.Data), d.Zero)
+	}
+	in.VTables = []VTableSpec{{Name: "vt", Off: 32, Slots: []string{"helper"}}}
+	if b, err = Link(in); err != nil {
+		t.Fatal(err)
+	}
+	d := b.Section(obj.SecData)
+	// The slot's high bytes are zero, so they are trimmed into the tail too.
+	if len(d.Data) <= 32 || len(d.Data) > 40 || d.Data[len(d.Data)-1] == 0 || d.End() != DefaultDataBase+64 {
+		t.Errorf(".data with a v-table in the tail: %d bytes, End %#x", len(d.Data), d.End())
+	}
+	if raw, _ := b.Bytes(DefaultDataBase+32, 8); binary.LittleEndian.Uint64(raw) != b.FuncByName("helper").Addr {
+		t.Error("v-table slot in the tail not written")
+	}
+	if in.Data[1] != 0 || len(in.Data) != 4 {
+		t.Error("Link wrote to the caller's data image")
+	}
+}
+
 func TestJumpTables(t *testing.T) {
 	p := &Program{
 		Name:  "jt",

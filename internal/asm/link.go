@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -38,8 +39,10 @@ type LinkInput struct {
 
 	Placements []Placement
 
-	// Data is the pre-laid-out .data section image (globals). May be nil.
+	// Data is the pre-laid-out .data section image (globals) and DataZero
+	// the count of zero bytes that follow it. Data may be nil.
 	Data     []byte
+	DataZero uint64
 	DataBase uint64
 
 	VTables []VTableSpec
@@ -208,16 +211,20 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		b.Sections = append(b.Sections, &obj.Section{Name: obj.SecROData, Addr: in.ROBase, Data: ro})
 	}
 
-	// .data: caller-provided image with v-table slots filled in.
-	if in.Data != nil || len(in.VTables) > 0 {
-		data := append([]byte(nil), in.Data...)
+	// .data: caller-provided image with v-table slots filled in. Only the
+	// bytes up to the last nonzero one are materialized; the rest of the
+	// section becomes its zero-fill tail. in.Data is never written.
+	if in.Data != nil || in.DataZero > 0 || len(in.VTables) > 0 {
+		size := uint64(len(in.Data)) + in.DataZero
+		n := uint64(len(bytes.TrimRight(in.Data, "\x00")))
 		for _, vt := range in.VTables {
 			need := vt.Off + uint64(len(vt.Slots))*8
-			if need > uint64(len(data)) {
-				grown := make([]byte, need)
-				copy(grown, data)
-				data = grown
-			}
+			n = max(n, need)
+			size = max(size, need)
+		}
+		data := make([]byte, n)
+		copy(data, in.Data)
+		for _, vt := range in.VTables {
 			slots := make([]uint64, len(vt.Slots))
 			for i, fn := range vt.Slots {
 				addr, ok := syms[fn]
@@ -229,7 +236,10 @@ func Link(in LinkInput) (*obj.Binary, error) {
 			}
 			b.VTables = append(b.VTables, &obj.VTable{Name: vt.Name, Addr: in.DataBase + vt.Off, Slots: slots})
 		}
-		b.Sections = append(b.Sections, &obj.Section{Name: obj.SecData, Addr: in.DataBase, Data: data})
+		data = bytes.TrimRight(data, "\x00")
+		b.Sections = append(b.Sections, &obj.Section{
+			Name: obj.SecData, Addr: in.DataBase, Data: data, Zero: size - uint64(len(data)),
+		})
 	}
 
 	// Function symbols: hot fragments become functions; cold fragments

@@ -212,30 +212,37 @@ func (o *Options) defaults() {
 func Assemble(p *Program, opts Options) (*obj.Binary, error) {
 	opts.defaults()
 
-	// Lay out .data: v-tables first, then globals, 8-byte aligned.
+	// Lay out .data: v-tables first, then globals, 8-byte aligned. Only
+	// the initialized extent (v-tables and globals with Init) is
+	// allocated; the rest of the section is zero-fill.
 	dataSyms := make(map[string]uint64)
 	var vspecs []VTableSpec
-	var cursor uint64
+	var cursor, initEnd uint64
 	for _, vt := range p.VTables {
 		dataSyms[vt.Name] = opts.DataBase + cursor
 		vspecs = append(vspecs, VTableSpec{Name: vt.Name, Off: cursor, Slots: vt.Slots})
 		cursor += uint64(len(vt.Slots)) * 8
+		initEnd = cursor
 	}
 	for _, g := range p.Globals {
 		cursor = align(cursor, 8)
 		if _, dup := dataSyms[g.Name]; dup {
 			return nil, fmt.Errorf("asm: duplicate data symbol %q", g.Name)
 		}
-		dataSyms[g.Name] = opts.DataBase + cursor
-		cursor += g.Size
-	}
-	data := make([]byte, cursor)
-	for _, g := range p.Globals {
-		off := dataSyms[g.Name] - opts.DataBase
 		if uint64(len(g.Init)) > g.Size {
 			return nil, fmt.Errorf("asm: global %q init larger than size", g.Name)
 		}
-		copy(data[off:off+g.Size], g.Init)
+		dataSyms[g.Name] = opts.DataBase + cursor
+		if len(g.Init) > 0 {
+			initEnd = cursor + uint64(len(g.Init))
+		}
+		cursor += g.Size
+	}
+	data := make([]byte, initEnd)
+	for _, g := range p.Globals {
+		if len(g.Init) > 0 {
+			copy(data[dataSyms[g.Name]-opts.DataBase:], g.Init)
+		}
 	}
 
 	// Lower functions.
@@ -256,6 +263,7 @@ func Assemble(p *Program, opts Options) (*obj.Binary, error) {
 		Entry:        p.Entry,
 		Placements:   SequentialPlacement(frags, opts.TextBase, obj.SecText, false),
 		Data:         data,
+		DataZero:     cursor - initEnd,
 		DataBase:     opts.DataBase,
 		VTables:      vspecs,
 		ROBase:       opts.RODataBase,

@@ -210,14 +210,14 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 	placements = append(placements, asm.SequentialPlacement(coldFrags, coldBase, obj.SecColdText, true)...)
 	placements = append(placements, pinned...)
 
-	// V-tables: symbolic slots from the original binary.
+	// V-tables: symbolic slots from the original binary. The linker copies
+	// the initialized .data prefix and keeps its zero-fill tail.
 	dataSec := bin.Section(obj.SecData)
 	var data []byte
-	var dataBase uint64
+	var dataZero, dataBase uint64
 	var vspecs []asm.VTableSpec
 	if dataSec != nil {
-		data = append([]byte(nil), dataSec.Data...)
-		dataBase = dataSec.Addr
+		data, dataZero, dataBase = dataSec.Data, dataSec.Zero, dataSec.Addr
 	}
 	for _, vt := range bin.VTables {
 		spec := asm.VTableSpec{Name: vt.Name, Off: vt.Addr - dataBase}
@@ -250,6 +250,7 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 		Entry:        entryName,
 		Placements:   placements,
 		Data:         data,
+		DataZero:     dataZero,
 		DataBase:     dataBase,
 		VTables:      vspecs,
 		ROBase:       roBase,

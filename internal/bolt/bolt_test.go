@@ -1,6 +1,7 @@
 package bolt
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/asm"
@@ -134,6 +135,49 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	got := runToCompletion(t, res.Binary, outAddr)
 	if got != want {
 		t.Errorf("bolted output %d != original %d", got, want)
+	}
+}
+
+// TestOptimizeKeepsZeroFillData: the optimized binary keeps the input's
+// .data extent, zero-fill tail included, and its v-table slots point at
+// the moved functions.
+func TestOptimizeKeepsZeroFillData(t *testing.T) {
+	p, _ := toyProgram(30000)
+	p.Global("heap", 1<<20)
+	p.VTable("vt", "hotB", "coldC")
+	prog, err := p.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := asm.Assemble(prog, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bin.Section(obj.SecData)
+	if in.Zero < 1<<20 {
+		t.Fatalf("input .data has a %d-byte zero-fill tail", in.Zero)
+	}
+	res, err := Optimize(bin, profileBinary(t, bin, 0.002), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := res.Binary.Section(obj.SecData)
+	if out.Addr != in.Addr || out.End() != in.End() || out.Zero < 1<<20 {
+		t.Errorf("optimized .data [%#x,%#x) with %d zero-fill, input [%#x,%#x)",
+			out.Addr, out.End(), out.Zero, in.Addr, in.End())
+	}
+	raw, err := res.Binary.Bytes(res.Binary.VTables[0].Addr, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"hotB", "coldC"} {
+		slot := binary.LittleEndian.Uint64(raw[8*i:])
+		if want := res.Binary.FuncByName(name).Addr; slot != want {
+			t.Errorf("vt slot %d = %#x, want %s at %#x", i, slot, name, want)
+		}
+	}
+	if res.Binary.FuncByName("hotB").Addr == bin.FuncByName("hotB").Addr {
+		t.Error("hotB did not move, so the slot rewrite is untested")
 	}
 }
 

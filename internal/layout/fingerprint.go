@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -53,11 +54,15 @@ func (w *fpWriter) sum() string {
 }
 
 // BinaryFingerprint content-addresses an obj image: every section's
-// bytes plus the symbol metadata the optimizer reads (function table,
-// block spans, v-tables, jump tables, entry, flags). Two binaries with
-// equal fingerprints produce identical optimizer inputs, so a layout
-// computed for one is byte-for-byte valid for the other — the
-// "identical binaries across the fleet" premise of optimize-once.
+// memory image plus the symbol metadata the optimizer reads (function
+// table, block spans, v-tables, jump tables, entry, flags). A section is
+// hashed as its name, address and total size (zero-fill included) and
+// its bytes up to the last nonzero one, so zero-fill is hashed by size
+// and two representations of the same memory (explicit trailing zeros or
+// a zero-fill tail) get the same key. Two binaries with equal
+// fingerprints produce identical optimizer inputs, so a layout computed
+// for one is byte-for-byte valid for the other — the "identical binaries
+// across the fleet" premise of optimize-once.
 func BinaryFingerprint(b *obj.Binary) string {
 	w := newFP()
 	w.u64(b.Entry)
@@ -73,7 +78,8 @@ func BinaryFingerprint(b *obj.Binary) string {
 	for _, s := range secs {
 		w.str(s.Name)
 		w.u64(s.Addr)
-		w.bytes(s.Data)
+		w.u64(s.End() - s.Addr)
+		w.bytes(bytes.TrimRight(s.Data, "\x00"))
 	}
 	w.u64(uint64(len(b.Funcs)))
 	for _, f := range b.Funcs { // sorted by Addr per obj contract

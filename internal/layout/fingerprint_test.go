@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bolt"
 	"repro/internal/cpu"
+	"repro/internal/obj"
 	"repro/internal/perf"
 	"repro/internal/progtest"
 )
@@ -96,6 +97,52 @@ func TestBinaryFingerprintContentAddressed(t *testing.T) {
 	}
 	if gen(7) == gen(8) {
 		t.Error("different programs collided")
+	}
+}
+
+// TestBinaryFingerprintZeroFill: zero-fill is hashed by size, so a
+// section with a zero-fill tail and its twin with the zeros spelled out
+// share a key, while a different total size or a nonzero byte in the
+// tail separates them.
+func TestBinaryFingerprintZeroFill(t *testing.T) {
+	prog, _, err := progtest.Generate(progtest.Options{Funcs: 8, MainIters: 100, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Globals = append(prog.Globals,
+		&asm.Global{Name: "zf_init", Size: 8, Init: []byte{9}},
+		&asm.Global{Name: "zf_heap", Size: 1 << 16})
+	sparse, err := asm.Assemble(prog, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := func(extra uint64) *obj.Binary {
+		b := sparse.Clone()
+		d := b.Section(obj.SecData)
+		d.Data = append(d.Data, make([]byte, d.Zero+extra)...)
+		d.Zero = 0
+		return b
+	}
+	if sparse.Section(obj.SecData).Zero < 1<<16 {
+		t.Fatal("assembler emitted no zero-fill tail")
+	}
+	base := BinaryFingerprint(sparse)
+	if got := BinaryFingerprint(explicit(0)); got != base {
+		t.Errorf("explicit-zeros twin fingerprinted %s, zero-fill %s", got, base)
+	}
+	if BinaryFingerprint(explicit(8)) == base {
+		t.Error("a larger section fingerprinted like the original")
+	}
+	grown := sparse.Clone()
+	grown.Section(obj.SecData).Zero += 8
+	if BinaryFingerprint(grown) == base {
+		t.Error("a larger zero-fill tail fingerprinted like the original")
+	}
+	dirty := explicit(0)
+	d := dirty.Section(obj.SecData)
+	d.Data[len(d.Data)-100] = 1
+	if BinaryFingerprint(dirty) == base {
+		t.Error("a nonzero byte in the tail fingerprinted like the original")
 	}
 }
 

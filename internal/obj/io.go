@@ -82,7 +82,7 @@ func (b *Binary) Clone() *Binary {
 	for _, s := range b.Sections {
 		data := make([]byte, len(s.Data))
 		copy(data, s.Data)
-		nb.Sections = append(nb.Sections, &Section{Name: s.Name, Addr: s.Addr, Data: data})
+		nb.Sections = append(nb.Sections, &Section{Name: s.Name, Addr: s.Addr, Data: data, Zero: s.Zero})
 	}
 	for _, f := range b.Funcs {
 		nf := *f

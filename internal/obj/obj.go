@@ -24,15 +24,21 @@ const (
 	SecData     = ".data"          // globals and v-tables
 )
 
-// Section is a contiguous range of initialized bytes at a fixed address.
+// Section is a contiguous address range at a fixed address: Data holds
+// its initialized bytes and Zero counts the zero bytes that follow them,
+// the way ELF separates a segment's file size from its memory size
+// (.bss). Code sections and .rodata are fully materialized (Zero is 0);
+// the linker moves the trailing zeros of .data into Zero, so a large
+// zero-initialized global costs no bytes in the image.
 type Section struct {
 	Name string
 	Addr uint64
 	Data []byte
+	Zero uint64 // zero-fill bytes after Data
 }
 
-// End returns the first address past the section.
-func (s *Section) End() uint64 { return s.Addr + uint64(len(s.Data)) }
+// End returns the first address past the section, zero-fill included.
+func (s *Section) End() uint64 { return s.Addr + uint64(len(s.Data)) + s.Zero }
 
 // Contains reports whether addr falls inside the section.
 func (s *Section) Contains(addr uint64) bool { return addr >= s.Addr && addr < s.End() }
@@ -208,7 +214,7 @@ type Binary struct {
 	// migration.
 	OSRMap map[uint64][]OSRPoint
 
-	byName map[string]*Func // lazily built
+	byName map[string]*Func // built by SortFuncs
 }
 
 // Section returns the section with the given name, or nil.
@@ -232,35 +238,52 @@ func (b *Binary) SectionFor(addr uint64) *Section {
 }
 
 // Bytes returns n bytes at addr from whichever section contains the range,
-// or an error if the range is not fully inside one section.
+// or an error if the range is not fully inside one section. A range inside
+// Data aliases the section; one that reaches into the zero-fill tail is
+// served as a zero-padded copy.
 func (b *Binary) Bytes(addr uint64, n int) ([]byte, error) {
 	s := b.SectionFor(addr)
 	if s == nil {
 		return nil, fmt.Errorf("obj: address %#x not in any section of %s", addr, b.Name)
 	}
-	off := addr - s.Addr
-	if off+uint64(n) > uint64(len(s.Data)) {
+	if addr+uint64(n) > s.End() {
 		return nil, fmt.Errorf("obj: range [%#x,+%d) overruns section %s", addr, n, s.Name)
 	}
-	return s.Data[off : off+uint64(n)], nil
+	off := addr - s.Addr
+	if end := off + uint64(n); end <= uint64(len(s.Data)) {
+		return s.Data[off:end], nil
+	}
+	out := make([]byte, n)
+	if off < uint64(len(s.Data)) {
+		copy(out, s.Data[off:])
+	}
+	return out, nil
 }
 
-// SortFuncs sorts the function table by entry address and resets lookup
-// caches. Producers must call it after assembling the table.
+// SortFuncs sorts the function table by entry address and rebuilds the
+// name index. Producers must call it after assembling the table; after
+// that the binary is safe for concurrent readers.
 func (b *Binary) SortFuncs() {
 	sort.Slice(b.Funcs, func(i, j int) bool { return b.Funcs[i].Addr < b.Funcs[j].Addr })
-	b.byName = nil
+	b.byName = make(map[string]*Func, len(b.Funcs))
+	for _, f := range b.Funcs {
+		b.byName[f.Name] = f
+	}
 }
 
-// FuncByName returns the function with the given name, or nil.
+// FuncByName returns the function with the given name, or nil. It never
+// writes to the binary: a binary that SortFuncs has not indexed (built by
+// hand) is scanned linearly.
 func (b *Binary) FuncByName(name string) *Func {
-	if b.byName == nil {
-		b.byName = make(map[string]*Func, len(b.Funcs))
-		for _, f := range b.Funcs {
-			b.byName[f.Name] = f
+	if b.byName != nil {
+		return b.byName[name]
+	}
+	for _, f := range b.Funcs {
+		if f.Name == name {
+			return f
 		}
 	}
-	return b.byName[name]
+	return nil
 }
 
 // FuncAt returns the function whose hot range starts exactly at addr, or

@@ -2,6 +2,7 @@ package obj
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -117,6 +118,100 @@ func TestFuncByNameAndAt(t *testing.T) {
 	}
 	if f := b.FuncAt(0x400081); f != nil {
 		t.Error("FuncAt mid-function should return nil")
+	}
+}
+
+// TestFuncByNameConcurrent: a binary is shared by every replica of a
+// fleet, and replacement looks functions up by name from concurrent
+// waves, so FuncByName must only read. Run under -race.
+func TestFuncByNameConcurrent(t *testing.T) {
+	b := testBinary()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if f := b.FuncByName("helper"); f == nil || f.Addr != 0x400080 {
+				t.Error("FuncByName failed")
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A hand-built binary nobody indexed still resolves, by scanning.
+	hand := &Binary{Funcs: []*Func{{Name: "f", Addr: 0x10}}}
+	if f := hand.FuncByName("f"); f == nil || f.Addr != 0x10 {
+		t.Error("FuncByName on an unindexed binary failed")
+	}
+}
+
+// zeroFillBinary is testBinary with a .data of 4 initialized bytes
+// followed by a 0x1000-byte zero-fill tail.
+func zeroFillBinary() *Binary {
+	b := testBinary()
+	b.Sections[1].Data = []byte{1, 2, 3, 4}
+	b.Sections[1].Zero = 0x1000
+	return b
+}
+
+func TestZeroFillTail(t *testing.T) {
+	b := zeroFillBinary()
+	s := b.Section(SecData)
+	if s.End() != 0x501004 {
+		t.Fatalf("End = %#x, want %#x", s.End(), 0x501004)
+	}
+	if !s.Contains(0x500004) || !s.Contains(0x501003) || s.Contains(0x501004) {
+		t.Error("Contains wrong at the Data/tail boundary or the end")
+	}
+	if b.SectionFor(0x500800) != s {
+		t.Error("address in the tail not mapped to its section")
+	}
+
+	inData, err := b.Bytes(0x500001, 3)
+	if err != nil || !bytes.Equal(inData, []byte{2, 3, 4}) {
+		t.Fatalf("Bytes inside Data = %v, %v", inData, err)
+	}
+	across, err := b.Bytes(0x500002, 6)
+	if err != nil || !bytes.Equal(across, []byte{3, 4, 0, 0, 0, 0}) {
+		t.Fatalf("Bytes across the boundary = %v, %v", across, err)
+	}
+	across[0] = 0xFF
+	if s.Data[2] != 3 {
+		t.Error("a padded read aliases the section")
+	}
+	tail, err := b.Bytes(0x500ff0, 0x14)
+	if err != nil || !bytes.Equal(tail, make([]byte, 0x14)) {
+		t.Fatalf("Bytes in the tail = %v, %v", tail, err)
+	}
+	if _, err := b.Bytes(0x501000, 5); err == nil {
+		t.Error("overrun past the zero-fill tail not caught")
+	}
+
+	if c := b.Clone().Section(SecData); c.Zero != 0x1000 || !bytes.Equal(c.Data, s.Data) {
+		t.Errorf("Clone lost the tail: %d data bytes, Zero %d", len(c.Data), c.Zero)
+	}
+	var buf bytes.Buffer
+	if err := b.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.Section(SecData); d.Zero != 0x1000 || !bytes.Equal(d.Data, s.Data) {
+		t.Errorf("round trip lost the tail: %d data bytes, Zero %d", len(d.Data), d.Zero)
+	}
+}
+
+func TestValidateCatchesZeroFillOverlap(t *testing.T) {
+	b := zeroFillBinary()
+	b.Sections = append(b.Sections, &Section{Name: "x", Addr: 0x500100, Data: make([]byte, 8)})
+	if err := b.Validate(); err == nil {
+		t.Error("section overlapping only the zero-fill tail not caught")
+	}
+	b.Sections[2].Addr = 0x501004
+	if err := b.Validate(); err != nil {
+		t.Errorf("section right after the tail rejected: %v", err)
 	}
 }
 

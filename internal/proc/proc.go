@@ -207,10 +207,14 @@ func (p *Process) StartThread(pc uint64) *Thread {
 	return t
 }
 
-// writeSparse copies section bytes into memory, skipping page-sized
-// all-zero runs so huge zero-initialized data sections (document stores,
-// scan arrays) do not inflate RSS before the program touches them — the
-// way a real loader maps BSS.
+// writeSparse copies a section's initialized bytes into memory, skipping
+// page-sized all-zero runs so they do not inflate RSS before the program
+// touches them. A section's zero-fill tail (obj.Section.Zero) is not
+// passed here at all: huge zero-initialized data (document stores, scan
+// arrays) is never written, and its pages read as zero until first
+// touched — the way a real loader maps BSS. The skip still serves images
+// that spell their zeros out, so both forms load to the same resident
+// pages.
 func writeSparse(m *mem.AddressSpace, addr uint64, data []byte) {
 	const chunk = mem.PageSize
 	for off := 0; off < len(data); {

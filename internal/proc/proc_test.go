@@ -60,6 +60,48 @@ func TestArithmeticAndGlobals(t *testing.T) {
 	}
 }
 
+// TestZeroFillLoadsLikeExplicitZeros: a .data zero-fill tail loads into
+// the same memory image as the same section with its zeros spelled out —
+// same words, same resident pages, same mapped extent.
+func TestZeroFillLoadsLikeExplicitZeros(t *testing.T) {
+	p := build.NewProgram("zf")
+	p.Global("init", 8, []byte{1, 2, 3})
+	p.Global("heap", 3*mem.PageSize+24)
+	f := p.Func("main")
+	f.Halt()
+	p.SetEntry("main")
+	sparse := assembleOrDie(t, p)
+	sec := sparse.Section(obj.SecData)
+	if sec.Zero == 0 {
+		t.Fatal("assembler emitted no zero-fill tail")
+	}
+	explicit := sparse.Clone()
+	ed := explicit.Section(obj.SecData)
+	ed.Data = append(ed.Data, make([]byte, ed.Zero)...)
+	ed.Zero = 0
+	if ed.End() != sec.End() {
+		t.Fatalf("twins end at %#x and %#x", ed.End(), sec.End())
+	}
+
+	a, b := loadOrDie(t, sparse, Options{}), loadOrDie(t, explicit, Options{})
+	for addr := sec.Addr; addr < sec.End(); addr += 8 {
+		if wa, wb := a.Mem.ReadWord(addr), b.Mem.ReadWord(addr); wa != wb {
+			t.Fatalf("word at %#x: zero-fill %#x, explicit %#x", addr, wa, wb)
+		}
+	}
+	if a.Mem.ResidentBytes() != b.Mem.ResidentBytes() {
+		t.Errorf("resident bytes: zero-fill %d, explicit %d", a.Mem.ResidentBytes(), b.Mem.ResidentBytes())
+	}
+	for _, pr := range []*Process{a, b} {
+		if !pr.RangeMapped(sec.End()-1, 1) {
+			t.Error("last byte of .data not mapped")
+		}
+		if pr.RangeMapped(sec.End(), 1) {
+			t.Error("byte past .data mapped")
+		}
+	}
+}
+
 func mustProg(t *testing.T, p *build.ProgramBuilder) *asm.Program {
 	t.Helper()
 	prog, err := p.Program()

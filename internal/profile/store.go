@@ -50,7 +50,8 @@ type Store struct {
 	opts StoreOptions
 
 	mu      sync.Mutex
-	ring    []TimedSample // oldest first; bounded by opts.Capacity
+	ring    []TimedSample // ring[head:] are held, oldest first; at most opts.Capacity
+	head    int           // first held slot; compacted once it reaches opts.Capacity
 	now     float64       // max sample timestamp seen
 	epoch   float64       // Window floor: set at each code replacement
 	dropped uint64        // snapshots evicted by the capacity bound
@@ -110,10 +111,24 @@ func (s *Store) ingestLocked(ts TimedSample) {
 	if ts.At > s.now {
 		s.now = ts.At
 	}
-	if len(s.ring) >= s.opts.Capacity {
-		n := len(s.ring) - s.opts.Capacity + 1
-		s.ring = append(s.ring[:0], s.ring[n:]...)
-		s.dropped += uint64(n)
+	// Eviction advances head instead of shifting the ring, so an ingest
+	// into a full ring is O(1) amortized: the evicted slot is zeroed to
+	// release its Records, and the held window is moved to the front once
+	// per Capacity evictions. The first eviction fixes the backing array
+	// at 2×Capacity, which head+Capacity never outgrows.
+	if len(s.ring)-s.head >= s.opts.Capacity {
+		if cap(s.ring) != 2*s.opts.Capacity {
+			s.ring = append(make([]TimedSample, 0, 2*s.opts.Capacity), s.ring...)
+		}
+		s.ring[s.head] = TimedSample{}
+		s.head++
+		s.dropped++
+		if s.head >= s.opts.Capacity {
+			n := copy(s.ring, s.ring[s.head:])
+			clear(s.ring[n:])
+			s.ring = s.ring[:n]
+			s.head = 0
+		}
 	}
 	s.ring = append(s.ring, ts)
 	s.total += uint64(len(ts.Records))
@@ -175,13 +190,14 @@ func (s *Store) Window(seconds float64) *perf.RawProfile {
 	// The ring is sorted by arrival; timestamps are monotone per source
 	// and near-monotone across sources, so binary search on At is exact
 	// enough — equal-time samples are kept, earlier stragglers skipped.
-	i := sort.Search(len(s.ring), func(i int) bool { return s.ring[i].At >= from })
+	held := s.ring[s.head:]
+	i := sort.Search(len(held), func(i int) bool { return held[i].At >= from })
 	raw := &perf.RawProfile{}
-	for _, ts := range s.ring[i:] {
+	for _, ts := range held[i:] {
 		raw.Samples = append(raw.Samples, perf.Sample{Records: ts.Records})
 	}
-	if len(s.ring) > i {
-		raw.Seconds = s.now - s.ring[i].At
+	if len(held) > i {
+		raw.Seconds = s.now - held[i].At
 	}
 	if raw.Seconds == 0 && len(raw.Samples) > 0 {
 		raw.Seconds = seconds
@@ -239,7 +255,7 @@ func (s *Store) Stats() StoreStats {
 	defer s.mu.Unlock()
 	return StoreStats{
 		Service: s.opts.Service,
-		Samples: len(s.ring),
+		Samples: len(s.ring) - s.head,
 		Records: s.total,
 		Dropped: s.dropped,
 		Now:     s.now,

@@ -74,6 +74,40 @@ func TestStoreCapacityEviction(t *testing.T) {
 	}
 }
 
+// TestStoreRingWraps: ingest into a full ring evicts the oldest sample
+// without shifting the ring, and the held window stays exactly the last
+// Capacity samples, in order, across many compactions.
+func TestStoreRingWraps(t *testing.T) {
+	const capacity = 64
+	s := NewStore(StoreOptions{Service: "svc", Capacity: capacity})
+	const n = 3*capacity + 7
+	for i := 0; i < n; i++ {
+		ingestAt(s, float64(i)*0.001, edge(uint64(i), 1))
+	}
+	raw := s.Window(1e9)
+	if len(raw.Samples) != capacity {
+		t.Fatalf("window holds %d samples, want %d", len(raw.Samples), capacity)
+	}
+	for i, sm := range raw.Samples {
+		if want := uint64(n - capacity + i); sm.Records[0].From != want {
+			t.Fatalf("window[%d] is sample %d, want %d", i, sm.Records[0].From, want)
+		}
+	}
+	if st := s.Stats(); st.Samples != capacity || st.Dropped != 2*capacity+7 {
+		t.Errorf("stats = %+v, want %d held / %d dropped", st, capacity, 2*capacity+7)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := cap(s.ring); c > 2*capacity {
+		t.Errorf("ring backing array grew to %d (capacity %d)", c, capacity)
+	}
+	for i, ts := range s.ring[:s.head] {
+		if ts.Records != nil {
+			t.Fatalf("evicted slot %d still holds its records", i)
+		}
+	}
+}
+
 func TestDecayedSummaryFavorsRecent(t *testing.T) {
 	s := NewStore(StoreOptions{Service: "svc", HalfLife: 0.001})
 	old, recent := edge(1, 2), edge(3, 4)

@@ -3,8 +3,26 @@ package docdb
 import (
 	"testing"
 
+	"repro/internal/mem"
+	"repro/internal/obj"
 	"repro/internal/perf"
 )
+
+// TestFullScaleDataIsZeroFill guards the obj image's size: the
+// full-scale guest heap is zero-fill, so .data carries at most one page
+// of initialized bytes however large the section is.
+func TestFullScaleDataIsZeroFill(t *testing.T) {
+	w, err := Build(Full())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := w.Binary.Section(obj.SecData)
+	if len(d.Data) > mem.PageSize {
+		t.Errorf(".data holds %d initialized bytes (section size %d), want at most one page",
+			len(d.Data), d.End()-d.Addr)
+	}
+	t.Logf(".data: %d bytes + %d zero-fill", len(d.Data), d.Zero)
+}
 
 func TestBuildAndServe(t *testing.T) {
 	w, err := Build(Small())

@@ -51,11 +51,13 @@ echo "== go test -race ./..."
 go test -race ./... || { upload_journals; exit 1; }
 
 # The fleet manager and telemetry registry are the concurrency-heavy
-# packages: run them twice more under the race detector to shake out
-# scheduling-dependent interleavings (-short skips the full-scale
-# single-service runs already covered above).
-echo "== go test -race -count=2 -short ./internal/fleet ./internal/telemetry"
-go test -race -count=2 -short ./internal/fleet ./internal/telemetry
+# packages, and obj/layout/profile hold state goroutines share (binaries
+# every replica reads, cache entries, the profile store ring): run them
+# twice more under the race detector to shake out scheduling-dependent
+# interleavings (-short skips the full-scale single-service runs already
+# covered above).
+echo "== go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile"
+go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile
 
 # Transactional-replacement gate (see docs/robustness.md): the sampled
 # fault sweep proves every injected tracee fault rolls back
