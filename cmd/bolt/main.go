@@ -25,7 +25,6 @@ func main() {
 	workload := flag.String("workload", "sqldb", "workload providing code and load generator")
 	input := flag.String("input", "read_only", "input mix to profile")
 	inFile := flag.String("in", "", "optimize this serialized binary instead of the workload's original")
-	perfFile := flag.String("perf", "", "use a saved profile (from perf-record) instead of profiling inline")
 	outFile := flag.String("o", "", "output path for the optimized binary")
 	profileMS := flag.Float64("profile-ms", 5, "profiling duration (simulated ms)")
 	funcOrder := flag.String("reorder-functions", "c3", "c3 | ph | none")
@@ -38,14 +37,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bolt: -o is required")
 		os.Exit(2)
 	}
-	if err := run(*workload, *input, *inFile, *perfFile, *outFile, *profileMS, *funcOrder, *noSplit, *noBlocks, *allowRebolt); err != nil {
+	if err := run(*workload, *input, *inFile, *outFile, *profileMS, *funcOrder, *noSplit, *noBlocks, *allowRebolt); err != nil {
 		fmt.Fprintln(os.Stderr, "bolt:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload, input, inFile, perfFile, outFile string, profileMS float64, funcOrder string, noSplit, noBlocks, allowRebolt bool) error {
-	w, err := experiments.Workload(workload, false)
+func run(workload, input, inFile, outFile string, profileMS float64, funcOrder string, noSplit, noBlocks, allowRebolt bool) error {
+	w, err := experiments.Workload(workload)
 	if err != nil {
 		return err
 	}
@@ -57,33 +56,22 @@ func run(workload, input, inFile, perfFile, outFile string, profileMS float64, f
 		}
 	}
 
-	var raw *perf.RawProfile
-	if perfFile != "" {
-		// Saved profile from perf-record.
-		raw, err = perf.ReadFile(perfFile)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded %s: %d samples, %d branch records\n",
-			perfFile, len(raw.Samples), raw.Branches())
-	} else {
-		// Profile the binary running the chosen input.
-		d, err := w.NewDriver(input, w.Threads)
-		if err != nil {
-			return err
-		}
-		p, err := proc.Load(bin, proc.Options{Threads: w.Threads, Handler: d})
-		if err != nil {
-			return err
-		}
-		p.RunFor(0.002)
-		raw = perf.Record(p, profileMS/1e3, perf.RecorderOptions{})
-		if err := p.Fault(); err != nil {
-			return err
-		}
-		fmt.Printf("profiled %s/%s: %d samples, %d branch records\n",
-			bin.Name, input, len(raw.Samples), raw.Branches())
+	// Profile the binary running the chosen input.
+	d, err := w.NewDriver(input, w.Threads)
+	if err != nil {
+		return err
 	}
+	p, err := proc.Load(bin, proc.Options{Threads: w.Threads, Handler: d})
+	if err != nil {
+		return err
+	}
+	p.RunFor(0.002)
+	raw := perf.Record(p, profileMS/1e3, perf.RecorderOptions{})
+	if err := p.Fault(); err != nil {
+		return err
+	}
+	fmt.Printf("profiled %s/%s: %d samples, %d branch records\n",
+		bin.Name, input, len(raw.Samples), raw.Branches())
 
 	prof, err := bolt.ConvertProfile(raw, bin)
 	if err != nil {

@@ -16,14 +16,14 @@ func TestRunWritesAndReBolts(t *testing.T) {
 	dir := t.TempDir()
 	first := filepath.Join(dir, "docdb.bolt")
 	second := filepath.Join(dir, "docdb.bolt2")
-	if err := run("docdb", "read_update", "", "", first, 0.5, "c3", false, false, false); err != nil {
+	if err := run("docdb", "read_update", "", first, 0.5, "c3", false, false, false); err != nil {
 		t.Fatalf("bolt: %v", err)
 	}
-	if err := run("docdb", "read_update", first, "", second, 0.5, "c3", false, false, true); err != nil {
+	if err := run("docdb", "read_update", first, second, 0.5, "c3", false, false, true); err != nil {
 		t.Fatalf("bolt -in %s -allow-rebolt: %v", first, err)
 	}
 
-	w, err := experiments.Workload("docdb", false)
+	w, err := experiments.Workload("docdb")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func checkpoint(sess *replay.Session, name string, ctl *core.Controller, round i
 }
 
 func drive(cfg runConfig, sess *replay.Session) error {
-	w, err := experiments.Workload(cfg.workload, false)
+	w, err := experiments.Workload(cfg.workload)
 	if err != nil {
 		return err
 	}

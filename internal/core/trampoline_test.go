@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/bolt"
 	"repro/internal/perf"
+	"repro/internal/proc"
+	"repro/internal/workloads/sqldb"
 )
 
 // TestTrampolinesPreserveSemantics: the redirect-all mode (§IV-B) must
@@ -71,6 +73,57 @@ func TestTrampolinesSteerWithoutVTables(t *testing.T) {
 	}
 	if frac := float64(inOpt) / float64(total); frac < 0.5 {
 		t.Errorf("only %.1f%% of branches in optimized code despite trampolines", frac*100)
+	}
+}
+
+// TestTrampolinesRetireFuncPtrResidue: sqldb reaches agg_reduce only
+// through a function pointer, which the C0 invariant keeps aimed at the
+// original body. By default that body keeps executing after replacement;
+// with trampolines (§IV-B redirect-all) every such call bounces to C1 at
+// the entry, so no branch executes inside the C0 body past offset 0.
+func TestTrampolinesRetireFuncPtrResidue(t *testing.T) {
+	residue := func(opts Options) int {
+		w, err := sqldb.Build(sqldb.Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := w.NewDriver("read_only", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := proc.Load(w.Binary, proc.Options{Threads: 4, Handler: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(pr, w.Binary, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.RunFor(0.002)
+		if _, err := c.OptimizeRound(0.004); err != nil {
+			t.Fatal(err)
+		}
+		pr.RunFor(0.002)
+		raw := perf.Record(pr, 0.003, perf.RecorderOptions{})
+		if err := pr.Fault(); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range raw.Samples {
+			for _, r := range s.Records {
+				// off > 0 skips the trampoline's own bounce jump.
+				if f, off, _ := w.Binary.Lookup(r.From); f != nil && f.Name == "agg_reduce" && off > 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := residue(Options{}); n == 0 {
+		t.Error("default mode: no branch in agg_reduce's C0 body; the test no longer exercises a stale pointer")
+	}
+	if n := residue(Options{Trampolines: true}); n != 0 {
+		t.Errorf("trampolines: %d branches still execute in agg_reduce's C0 body", n)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //     hot/cold splitting, no basic-block reordering
 func Ablate(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("sqldb", cfg.Quick)
+	w, err := Workload("sqldb")
 	if err != nil {
 		return err
 	}

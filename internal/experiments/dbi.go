@@ -22,7 +22,7 @@ import (
 //	OCOLOS                — one-time cost, native speed after
 func DBI(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("sqldb", cfg.Quick)
+	w, err := Workload("sqldb")
 	if err != nil {
 		return err
 	}

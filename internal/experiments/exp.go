@@ -79,12 +79,8 @@ func (c Config) threads(def int) int {
 var buildCache = map[string]*wl.Workload{}
 
 // Workload builds (or returns the cached) evaluation-scale workload.
-func Workload(name string, quick bool) (*wl.Workload, error) {
-	key := name
-	if quick {
-		key += ":q"
-	}
-	if w, ok := buildCache[key]; ok {
+func Workload(name string) (*wl.Workload, error) {
+	if w, ok := buildCache[name]; ok {
 		return w, nil
 	}
 	var w *wl.Workload
@@ -108,7 +104,7 @@ func Workload(name string, quick bool) (*wl.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	buildCache[key] = w
+	buildCache[name] = w
 	return w, nil
 }
 

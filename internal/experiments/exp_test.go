@@ -61,17 +61,17 @@ func TestFitPlaneRecoversKnownModel(t *testing.T) {
 }
 
 func TestUnknownWorkloadRejected(t *testing.T) {
-	if _, err := Workload("nope", true); err == nil {
+	if _, err := Workload("nope"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestWorkloadCache(t *testing.T) {
-	a, err := Workload("kvcache", true)
+	a, err := Workload("kvcache")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Workload("kvcache", true)
+	b, err := Workload("kvcache")
 	if err != nil {
 		t.Fatal(err)
 	}

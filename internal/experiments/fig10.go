@@ -20,7 +20,7 @@ import (
 // full-profile BOLT build bound the plot from above and below.
 func Fig10(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("compilersim", cfg.Quick)
+	w, err := Workload("compilersim")
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 // always profiles the current input, should track the best bar.
 func Fig3(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("sqldb", cfg.Quick)
+	w, err := Workload("sqldb")
 	if err != nil {
 		return err
 	}

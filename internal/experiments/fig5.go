@@ -57,7 +57,7 @@ func Fig5Rows(cfg Config) ([]Fig5Row, error) {
 	cfg.defaults()
 	var rows []Fig5Row
 	for _, name := range ServerWorkloads() {
-		w, err := Workload(name, cfg.Quick)
+		w, err := Workload(name)
 		if err != nil {
 			return nil, err
 		}

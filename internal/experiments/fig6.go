@@ -16,7 +16,7 @@ import (
 // 0.2–1 ms where the paper's sits around 0.1–1 s.
 func Fig6(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("sqldb", cfg.Quick)
+	w, err := Workload("sqldb")
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ type MicroRow struct {
 // offline BOLT.
 func Fig8(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("sqldb", cfg.Quick)
+	w, err := Workload("sqldb")
 	if err != nil {
 		return err
 	}

@@ -58,7 +58,7 @@ func Fig9(cfg Config) error {
 			worst = p
 		}
 	}
-	w, err := Workload(worst.Workload, cfg.Quick)
+	w, err := Workload(worst.Workload)
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func Fig9Points(cfg Config) ([]Fig9Point, error) {
 	cfg.defaults()
 	var pts []Fig9Point
 	for _, name := range ServerWorkloads() {
-		w, err := Workload(name, cfg.Quick)
+		w, err := Workload(name)
 		if err != nil {
 			return nil, err
 		}

@@ -30,9 +30,9 @@ func FleetScale(cfg Config) error {
 		input string
 	}
 	specs := []svcSpec{
-		{func() (*wl.Workload, error) { return Workload("sqldb", cfg.Quick) }, "read_only"},
-		{func() (*wl.Workload, error) { return Workload("docdb", cfg.Quick) }, "read_update"},
-		{func() (*wl.Workload, error) { return Workload("kvcache", cfg.Quick) }, "set10_get90"},
+		{func() (*wl.Workload, error) { return Workload("sqldb") }, "read_only"},
+		{func() (*wl.Workload, error) { return Workload("docdb") }, "read_update"},
+		{func() (*wl.Workload, error) { return Workload("kvcache") }, "set10_get90"},
 	}
 	if cfg.Quick {
 		// Quick mode swaps in small-scale builds so the bench variant of

@@ -17,7 +17,7 @@ import (
 // cumulative request count overtakes the would-have-been original line.
 func Recover(cfg Config) error {
 	cfg.defaults()
-	w, err := Workload("sqldb", cfg.Quick)
+	w, err := Workload("sqldb")
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ func TestPaperShapes(t *testing.T) {
 	cfg := Config{Quick: true, Out: io.Discard}
 
 	speedup := func(wl, input string) float64 {
-		w, err := Workload(wl, true)
+		w, err := Workload(wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestPaperShapes(t *testing.T) {
 
 	// Configuration ordering on sqldb read_only: compiler PGO with the
 	// same oracle profile trails BOLT (§VI-B).
-	w, err := Workload("sqldb", true)
+	w, err := Workload("sqldb")
 	if err != nil {
 		t.Fatal(err)
 	}

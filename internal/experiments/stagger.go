@@ -21,7 +21,7 @@ func Stagger(cfg Config) error {
 	const input = "read_only"
 
 	run := func(staggered bool) ([]float64, error) {
-		w, err := Workload("sqldb", cfg.Quick)
+		w, err := Workload("sqldb")
 		if err != nil {
 			return nil, err
 		}

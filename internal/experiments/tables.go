@@ -30,7 +30,7 @@ func Tab1(cfg Config) error {
 	order := ServerWorkloads()
 
 	for _, name := range order {
-		w, err := Workload(name, cfg.Quick)
+		w, err := Workload(name)
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func Tab2(cfg Config) error {
 	type costs struct{ p2b, bolt, pause float64 }
 	res := map[string]costs{}
 	for _, name := range ServerWorkloads() {
-		w, err := Workload(name, cfg.Quick)
+		w, err := Workload(name)
 		if err != nil {
 			return err
 		}

@@ -132,35 +132,6 @@ func TestNoLayoutCacheConfig(t *testing.T) {
 	}
 }
 
-// TestScanMinThroughputGate: the ScanOptions floor withholds
-// optimization from services below it, independent of the TopDown gate.
-func TestScanMinThroughputGate(t *testing.T) {
-	m, svcs := homogeneousFleet(t, 2, Config{})
-	m.cfg.SkipGate = false // the floor must gate on its own
-	scan := m.Scan(ScanOptions{Window: 0.0004, MinThroughput: 1e12})
-	for _, r := range scan {
-		if r.Optimize {
-			t.Errorf("%s selected despite the absurd floor", r.Service.Name)
-		}
-		if r.Throughput <= 0 {
-			t.Errorf("%s: floor gating must populate Throughput", r.Service.Name)
-		}
-	}
-	m.Optimize(scan, WaveOptions{})
-	for _, s := range svcs {
-		if v := s.Ctl.Version(); v != 0 {
-			t.Errorf("%s optimized to version %d despite the floor", s.Name, v)
-		}
-	}
-	// A trivial floor keeps everyone eligible.
-	scan = m.Scan(ScanOptions{Window: 0.0004, MinThroughput: 1e-9})
-	for _, r := range scan {
-		if r.Throughput <= 0 {
-			t.Errorf("%s: Throughput not measured", r.Service.Name)
-		}
-	}
-}
-
 // TestDeprecatedShimsRemoved pins the deprecation schedule's end state:
 // the one-release compatibility shims (Manager.ScanWindow,
 // Service.Throughput) are gone, and the struct-options API is the only

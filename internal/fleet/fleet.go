@@ -428,7 +428,7 @@ func (s *Service) setRoot(sp *trace.Span) {
 }
 
 // Measure measures the service's current throughput over the scan
-// window (opts.MinThroughput is ignored: Measure reports, Scan gates).
+// window.
 func (s *Service) Measure(opts ScanOptions) float64 {
 	return wl.Measure(s.Proc, s.Driver, opts.Window)
 }
@@ -657,9 +657,6 @@ type ScanResult struct {
 	Service  *Service
 	TopDown  cpu.TopDown
 	Optimize bool
-	// Throughput is the service's measured req/s over the scan window;
-	// only populated when ScanOptions.MinThroughput gating is on.
-	Throughput float64
 	// Drift marks a verdict produced by a drift scan (ScanOptions.Drift):
 	// Optimize then means "the live profile diverged from the layout's
 	// build profile and every hysteresis guard passed", DriftScore is the
@@ -671,17 +668,12 @@ type ScanResult struct {
 }
 
 // ScanOptions configures a fleet scan. The zero value scans with the
-// manager's configured window and no throughput floor, so
-// Scan(ScanOptions{}) is the common fleet pass.
+// manager's configured window, so Scan(ScanOptions{}) is the common
+// fleet pass.
 type ScanOptions struct {
-	// Window is the simulated TopDown (and throughput) measurement
-	// window per service; 0 means Config.Timing.Window.
+	// Window is the simulated TopDown measurement window per service;
+	// 0 means Config.Timing.Window.
 	Window float64
-	// MinThroughput, when positive, additionally measures each service's
-	// current throughput over Window and withholds optimization from
-	// services below the floor: near-idle services don't repay a
-	// stop-the-world pause, whatever their TopDown shape says.
-	MinThroughput float64
 	// Drift switches the scan to drift mode: instead of TopDown-gating
 	// Idle services, the scan walks Steady services with streaming
 	// stores, scores each live window against its layout's build profile
@@ -709,12 +701,6 @@ func (m *Manager) Scan(opts ScanOptions) []ScanResult {
 	for _, s := range services {
 		optimize, td := s.Ctl.ShouldOptimize(opts.Window)
 		r := ScanResult{Service: s, TopDown: td, Optimize: optimize}
-		if opts.MinThroughput > 0 {
-			r.Throughput = s.Measure(ScanOptions{Window: opts.Window})
-			if r.Throughput < opts.MinThroughput {
-				r.Optimize = false
-			}
-		}
 		s.mu.Lock()
 		s.scanned = true
 		s.selected = r.Optimize || m.cfg.SkipGate

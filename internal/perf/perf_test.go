@@ -1,12 +1,10 @@
 package perf
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/build"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/proc"
 )
@@ -203,45 +201,5 @@ func TestMeasureTopDown(t *testing.T) {
 	sum := td.Retiring + td.FrontEnd + td.BadSpec + td.BackEnd
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("TopDown sums to %f", sum)
-	}
-}
-
-func TestProfileSerialization(t *testing.T) {
-	pr := loopProcess(t)
-	raw := Record(pr, 0.0005, RecorderOptions{})
-	var buf bytes.Buffer
-	if err := raw.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Branches() != raw.Branches() || len(got.Samples) != len(raw.Samples) {
-		t.Error("round trip lost samples")
-	}
-	if _, err := DecodeProfile(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-var _ = cpu.BranchRecord{}
-
-func TestProfileFileRoundTrip(t *testing.T) {
-	pr := loopProcess(t)
-	raw := Record(pr, 0.0003, RecorderOptions{})
-	path := t.TempDir() + "/p.perf"
-	if err := raw.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Branches() != raw.Branches() {
-		t.Error("file round trip lost records")
-	}
-	if _, err := ReadFile(t.TempDir() + "/missing.perf"); err == nil {
-		t.Error("missing file accepted")
 	}
 }

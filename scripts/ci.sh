@@ -87,20 +87,6 @@ FLEET_BENCH_OUT="$tmpdir/BENCH_fleet_smoke.json" FLEET_BENCH_SERVICES=32 \
 grep -q '"cache_hit_rate"' "$tmpdir/BENCH_fleet_smoke.json" ||
     { cat "$tmpdir/BENCH_fleet_smoke.json"; echo "fleet smoke wrote no cache stats"; exit 1; }
 
-# Record/replay smoke (see docs/replay.md): a two-round kvcache session
-# is recorded, then re-executed from the journal alone — every
-# state-hash checkpoint must verify and the re-recorded journal must be
-# byte-identical.
-echo "== record/replay smoke"
-go build -o "$tmpdir/ocolos-run" ./cmd/ocolos-run
-"$tmpdir/ocolos-run" -workload kvcache -input set10_get90 -rounds 2 \
-    -record "$tmpdir/session.jsonl" >/dev/null
-"$tmpdir/ocolos-run" -replay "$tmpdir/session.jsonl" >"$tmpdir/replay.log" 2>&1 ||
-    { cat "$tmpdir/replay.log"; echo "record/replay smoke failed"; exit 1; }
-grep -q 'replay OK' "$tmpdir/replay.log" ||
-    { cat "$tmpdir/replay.log"; echo "replay did not verify"; exit 1; }
-echo "record/replay smoke OK ($(wc -l < "$tmpdir/session.jsonl") events)"
-
 # Splicing perf gate: the engine with splicing on must not be slower
 # than with it off (BenchmarkStep "super" vs "block"; the run doubles as
 # the smoke test of the harness behind scripts/bench.sh). Best of 2
