@@ -130,7 +130,15 @@ func (s *Store) ingestLocked(ts TimedSample) {
 			s.head = 0
 		}
 	}
+	// Keep ring[head:] sorted by At so Window's binary search is exact: a
+	// straggler (a pushed batch stamped before the newest held sample)
+	// is inserted after every sample at or before its stamp.
 	s.ring = append(s.ring, ts)
+	if held := s.ring[s.head:]; len(held) > 1 && ts.At < held[len(held)-2].At {
+		i := sort.Search(len(held)-1, func(i int) bool { return held[i].At > ts.At })
+		copy(held[i+1:], held[i:len(held)-1])
+		held[i] = ts
+	}
 	s.total += uint64(len(ts.Records))
 
 	// Accumulate into the decayed view, re-zeroing the inflation basis
