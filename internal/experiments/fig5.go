@@ -19,7 +19,7 @@ type Fig5Row struct {
 // binary, across every benchmark input.
 func Fig5(cfg Config) error {
 	cfg.defaults()
-	rows, err := Fig5Rows(cfg)
+	rows, err := fig5Rows(cfg)
 	if err != nil {
 		return err
 	}
@@ -52,8 +52,8 @@ func avgOf(rows []Fig5Row) float64 {
 	return s / float64(len(rows))
 }
 
-// Fig5Rows computes the figure's data.
-func Fig5Rows(cfg Config) ([]Fig5Row, error) {
+// fig5Rows computes the figure's data.
+func fig5Rows(cfg Config) ([]Fig5Row, error) {
 	cfg.defaults()
 	var rows []Fig5Row
 	for _, name := range ServerWorkloads() {

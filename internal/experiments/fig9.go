@@ -22,7 +22,7 @@ type Fig9Point struct {
 // benefit-vs-no-benefit; the paper uses the same two TopDown features.
 func Fig9(cfg Config) error {
 	cfg.defaults()
-	pts, err := Fig9Points(cfg)
+	pts, err := fig9Points(cfg)
 	if err != nil {
 		return err
 	}
@@ -97,8 +97,8 @@ func Fig9(cfg Config) error {
 	return nil
 }
 
-// Fig9Points measures the scatter.
-func Fig9Points(cfg Config) ([]Fig9Point, error) {
+// fig9Points measures the scatter.
+func fig9Points(cfg Config) ([]Fig9Point, error) {
 	cfg.defaults()
 	var pts []Fig9Point
 	for _, name := range ServerWorkloads() {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -76,90 +75,4 @@ func TestPhaseExperiment(t *testing.T) {
 	if got := strings.Join(rows[0], ","); got != "arm,turn,event,sim_s,throughput,drift_score,reopts" {
 		t.Errorf("csv header %q", got)
 	}
-}
-
-// driftBenchDoc is the BENCH_drift.json schema: per-turn staleness and
-// recovery of the drift arm against the no-drift ablation, plus the
-// simulated time each re-convergence took.
-type driftBenchDoc struct {
-	Tenants          int              `json:"tenants"`
-	Turns            int              `json:"turns"`
-	OptimizedDrift   float64          `json:"optimized_drift_rps"`
-	OptimizedNoDrift float64          `json:"optimized_no_drift_rps"`
-	PerTurn          []driftBenchTurn `json:"per_turn"`
-}
-
-type driftBenchTurn struct {
-	Turn              int     `json:"turn"`
-	StaleRPS          float64 `json:"stale_rps"`
-	RecoveredRPS      float64 `json:"recovered_rps"`
-	RecoveryRatio     float64 `json:"recovery_ratio"`
-	AblationStaleRPS  float64 `json:"ablation_stale_rps"`
-	DriftScore        float64 `json:"drift_score"`
-	ReconvergeSimSecs float64 `json:"reconverge_sim_seconds"`
-}
-
-// TestDriftBench is the drift section of scripts/bench.sh: it runs the
-// phase timeline at full scale and writes BENCH_drift.json. Gated
-// behind DRIFT_BENCH_OUT; DRIFT_BENCH_QUICK=1 scales it down for the
-// CI smoke.
-func TestDriftBench(t *testing.T) {
-	out := os.Getenv("DRIFT_BENCH_OUT")
-	if out == "" {
-		t.Skip("set DRIFT_BENCH_OUT=path to run the drift benchmark")
-	}
-	quick := os.Getenv("DRIFT_BENCH_QUICK") == "1"
-	const turns, tenants = 2, 3
-	res, err := RunPhase(quick, turns, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	doc := driftBenchDoc{
-		Tenants:          tenants,
-		Turns:            turns,
-		OptimizedDrift:   res.Optimized["drift"],
-		OptimizedNoDrift: res.Optimized["no_drift"],
-	}
-	// Re-convergence time is the simulated gap between a turn's stale
-	// measurement and its post-re-optimization measurement.
-	staleAt := map[int]float64{}
-	type key struct {
-		turn  int
-		event string
-	}
-	byEvent := map[key]PhasePoint{}
-	for _, pt := range res.Points {
-		if pt.Arm != "drift" {
-			continue
-		}
-		byEvent[key{pt.Turn, pt.Event}] = pt
-		if pt.Event == "stale" {
-			staleAt[pt.Turn] = pt.SimSeconds
-		}
-	}
-	for turn := 1; turn <= turns; turn++ {
-		reopt := byEvent[key{turn, "reoptimized"}]
-		doc.PerTurn = append(doc.PerTurn, driftBenchTurn{
-			Turn:              turn,
-			StaleRPS:          byEvent[key{turn, "stale"}].Throughput,
-			RecoveredRPS:      res.Recovered[turn],
-			RecoveryRatio:     res.Recovered[turn] / res.Optimized["drift"],
-			AblationStaleRPS:  res.Stale[turn],
-			DriftScore:        byEvent[key{turn, "stale"}].DriftScore,
-			ReconvergeSimSecs: reopt.SimSeconds - staleAt[turn],
-		})
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -16,7 +16,8 @@ type StoreOptions struct {
 	// Service names the store's owner in journal events and stats.
 	Service string
 	// Capacity bounds the sample ring (default 8192 snapshots). When the
-	// ring is full the oldest snapshot is dropped and counted.
+	// ring is full the oldest snapshot, or an incoming one older still,
+	// is dropped and counted.
 	Capacity int
 	// HalfLife is the decay half-life (simulated seconds) of the rolling
 	// edge-weight accumulator behind Stats and DecayedSummary (default
@@ -54,7 +55,7 @@ type Store struct {
 	head    int           // first held slot; compacted once it reaches opts.Capacity
 	now     float64       // max sample timestamp seen
 	epoch   float64       // Window floor: set at each code replacement
-	dropped uint64        // snapshots evicted by the capacity bound
+	dropped uint64        // snapshots lost to the capacity bound
 	total   uint64        // records ever ingested
 
 	// Decayed edge accumulator. Weights are stored inflated by
@@ -117,6 +118,12 @@ func (s *Store) ingestLocked(ts TimedSample) {
 	// per Capacity evictions. The first eviction fixes the backing array
 	// at 2×Capacity, which head+Capacity never outgrows.
 	if len(s.ring)-s.head >= s.opts.Capacity {
+		// A straggler older than everything held would land below the
+		// window it evicted for: drop it instead.
+		if ts.At < s.ring[s.head].At {
+			s.dropped++
+			return
+		}
 		if cap(s.ring) != 2*s.opts.Capacity {
 			s.ring = append(make([]TimedSample, 0, 2*s.opts.Capacity), s.ring...)
 		}
@@ -195,9 +202,7 @@ func (s *Store) Window(seconds float64) *perf.RawProfile {
 	if s.epoch > from {
 		from = s.epoch
 	}
-	// The ring is sorted by arrival; timestamps are monotone per source
-	// and near-monotone across sources, so binary search on At is exact
-	// enough — equal-time samples are kept, earlier stragglers skipped.
+	// ring[head:] is kept sorted by At (see ingestLocked), so the search is exact.
 	held := s.ring[s.head:]
 	i := sort.Search(len(held), func(i int) bool { return held[i].At >= from })
 	raw := &perf.RawProfile{}

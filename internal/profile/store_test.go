@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -37,6 +38,13 @@ func TestStoreWindowTrailing(t *testing.T) {
 	if all := s.Window(1); len(all.Samples) != 10 {
 		t.Errorf("wide window holds %d samples, want 10", len(all.Samples))
 	}
+	// A pushed straggler is placed by its stamp, outside the window.
+	if err := s.IngestBatch([]TimedSample{{At: 0.002, Records: []cpu.BranchRecord{edge(99, 1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := windowFroms(s.Window(0.0045)); !slices.Equal(got, []uint64{6, 7, 8, 9, 10}) {
+		t.Errorf("window after a straggler = %v, want [6 7 8 9 10]", got)
+	}
 }
 
 func TestStoreEpochFloorsWindow(t *testing.T) {
@@ -50,13 +58,41 @@ func TestStoreEpochFloorsWindow(t *testing.T) {
 		t.Fatalf("post-epoch window holds %d samples", len(raw.Samples))
 	}
 	ingestAt(s, 0.003, edge(5, 6))
-	raw := s.Window(1)
-	var seen []uint64
-	for _, sm := range raw.Samples {
-		seen = append(seen, sm.Records[0].From)
-	}
-	if len(seen) != 2 || seen[0] != 3 || seen[1] != 5 {
+	if seen := windowFroms(s.Window(1)); !slices.Equal(seen, []uint64{3, 5}) {
 		t.Errorf("post-epoch window = %v, want [3 5]", seen)
+	}
+	// A batch stamped before the epoch profiled the outgoing layout.
+	if err := s.IngestBatch([]TimedSample{{At: 0.0015, Records: []cpu.BranchRecord{edge(99, 1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if seen := windowFroms(s.Window(1)); !slices.Equal(seen, []uint64{3, 5}) {
+		t.Errorf("window after a pre-epoch batch = %v, want [3 5]", seen)
+	}
+}
+
+// windowFroms lists the From of each window sample's first record.
+func windowFroms(raw *perf.RawProfile) []uint64 {
+	var froms []uint64
+	for _, sm := range raw.Samples {
+		froms = append(froms, sm.Records[0].From)
+	}
+	return froms
+}
+
+// TestStoreFullRingDropsStraggler: a straggler older than everything a
+// full ring holds is dropped, not swapped in for an in-window sample
+// that the window would have served.
+func TestStoreFullRingDropsStraggler(t *testing.T) {
+	s := NewStore(StoreOptions{Service: "svc", Capacity: 4})
+	for i := 1; i <= 4; i++ {
+		ingestAt(s, float64(i)*0.001, edge(uint64(i), 1))
+	}
+	ingestAt(s, 0.0005, edge(99, 1))
+	if got := windowFroms(s.Window(0.0032)); !slices.Equal(got, []uint64{1, 2, 3, 4}) {
+		t.Errorf("window = %v, want [1 2 3 4]", got)
+	}
+	if st := s.Stats(); st.Samples != 4 || st.Dropped != 1 {
+		t.Errorf("stats = %+v, want 4 held / 1 dropped", st)
 	}
 }
 

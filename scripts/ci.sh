@@ -34,6 +34,10 @@ fi
 [ "$(cat $(ls internal/proc/*.go | grep -v _test.go) | grep -c 'case isa\.ADD:')" -le 2 ] || { echo "internal/proc executes isa.ADD in more than two places (Step + the trace engine)"; exit 1; }
 # One front-end entry in the timing model: Core.Fetch, no fetch twins.
 [ "$(cat $(ls internal/cpu/*.go | grep -v _test.go) | grep -c '^func (c \*Core) Fetch')" -le 1 ] || { echo "internal/cpu declares more than one Core.Fetch* method (Fetch is the one front-end entry)"; exit 1; }
+# One benchmark track: bench/ (run by BENCHMARK.json), no second harness.
+if [ -e scripts/bench.sh ] || ls BENCH_*.json >/dev/null 2>&1 || grep -rq --include='*_test.go' '_BENCH_' .; then
+    echo "a second benchmark track is back (scripts/bench.sh, a root BENCH_*.json or a *_test.go reading a *_BENCH_* env var); measure in bench/"; exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -65,46 +69,6 @@ go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/o
 # code path from the exhaustive sweep the ./... pass ran).
 echo "== go test -short -run TestFaultSweep ./internal/diffcheck"
 go test -short -run TestFaultSweep ./internal/diffcheck || { upload_journals; exit 1; }
-
-# Replace-cost smoke: the small-scale OSR ablation benchmark must run
-# and report its OSR outcomes, so scripts/bench.sh works when needed.
-echo "== replace bench smoke: loopsim OSR ablation, small scale"
-REPLACE_BENCH_OUT="$tmpdir/BENCH_replace_smoke.json" REPLACE_BENCH_SCALE=small \
-    go test -run TestReplaceBench -count 1 ./internal/diffcheck || { upload_journals; exit 1; }
-grep -q '"osr_frames_mapped"' "$tmpdir/BENCH_replace_smoke.json" ||
-    { cat "$tmpdir/BENCH_replace_smoke.json"; echo "replace smoke wrote no OSR stats"; exit 1; }
-
-# Sharded-wave + layout-cache gate (see docs/fleet.md): the 32-replica
-# homogeneous smoke (env-gated, so the ./... pass skipped it) runs the
-# sharded dispatcher and the single-flight cache under the race detector
-# and must serve >90% of its lookups from the cache — the "optimize
-# once, deploy everywhere" contract; the test itself fails below that
-# bar.
-echo "== sharded-wave cache smoke: 32 homogeneous replicas, -race"
-FLEET_BENCH_OUT="$tmpdir/BENCH_fleet_smoke.json" FLEET_BENCH_SERVICES=32 \
-    FLEET_BENCH_WORKLOADS=1 FLEET_BENCH_WORKERS=4 FLEET_BENCH_SHARDS=4 \
-    go test -race -run TestFleetWaveBench -count 1 ./internal/fleet || { upload_journals; exit 1; }
-grep -q '"cache_hit_rate"' "$tmpdir/BENCH_fleet_smoke.json" ||
-    { cat "$tmpdir/BENCH_fleet_smoke.json"; echo "fleet smoke wrote no cache stats"; exit 1; }
-
-# Splicing perf gate: the engine with splicing on must not be slower
-# than with it off (BenchmarkStep "super" vs "block"; the run doubles as
-# the smoke test of the harness behind scripts/bench.sh). Best of 2
-# one-second runs per mode, with a 0.9 factor so shared-machine noise
-# (±20% run to run) cannot flake the gate while a real regression —
-# spliced traces falling back to per-op paths everywhere — still fails
-# it.
-echo "== splicing on vs off bench smoke"
-smoke=$(go test -run '^$' -bench 'BenchmarkStep/(super|block)' -benchtime 1s -count 2 .)
-echo "$smoke"
-echo "$smoke" | awk '
-    /^BenchmarkStep\/super/ {if ($(NF-1)+0 > s) s = $(NF-1)+0}
-    /^BenchmarkStep\/block/ {if ($(NF-1)+0 > b) b = $(NF-1)+0}
-    END {
-        if (s == 0 || b == 0) { print "bench smoke: missing mode output"; exit 1 }
-        printf "splicing on %.0f inst/s vs off %.0f inst/s (%.2fx)\n", s, b, s / b
-        if (s < 0.9 * b) { print "splicing makes the trace engine slower"; exit 1 }
-    }'
 
 # Control-plane smoke (see docs/observability.md): boot the real fleetd
 # with an ephemeral-port HTTP control plane and a minimal wave, scrape
