@@ -34,9 +34,7 @@ func (c *Core) MemFast(addr uint64) bool {
 	if c.l1dTags[set] != key+1 {
 		return false
 	}
-	l1d.clock++
 	l1d.accesses++
-	c.l1dStamps[set] = l1d.clock
 	return true
 }
 
@@ -58,8 +56,6 @@ func (c *Core) BranchJumpFast(pc, target uint64) bool {
 	if c.LBREnabled || b.tags[set] != key+1 || b.targets[set] != target {
 		return false
 	}
-	b.clock++
-	b.stamps[set] = b.clock
 	c.Stats.TakenBranches++
 	c.lastFetchLine = 0
 	c.stallFE += c.cfg.TakenBubble
@@ -75,8 +71,6 @@ func (c *Core) BranchCallFast(pc, target, retAddr uint64) bool {
 	if c.LBREnabled || b.tags[set] != key+1 || b.targets[set] != target {
 		return false
 	}
-	b.clock++
-	b.stamps[set] = b.clock
 	r := c.ras
 	r.stack[r.pos] = retAddr
 	r.pos++

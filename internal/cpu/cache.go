@@ -1,16 +1,15 @@
 package cpu
 
-// cache is a set-associative cache model: tags only, true-LRU via access
-// stamps. Lookups return hit/miss and insert on miss (allocate-on-miss,
-// no writeback modeling — timing only).
+// cache is a set-associative cache model: tags only, true LRU. Each set's
+// ways are kept in recency order — way 0 is the most recently used, the
+// last way the least — so the LRU victim is always the last way and no
+// per-way stamp or clock is needed. Lookups return hit/miss and insert on
+// miss (allocate-on-miss, no writeback modeling — timing only).
 type cache struct {
-	sets     int
 	ways     int
 	shift    uint // log2(line or page size)
 	setMask  uint64
 	tags     []uint64 // sets*ways, 0 = invalid (tag stored +1)
-	stamps   []uint64
-	clock    uint64
 	accesses uint64
 	misses   uint64
 }
@@ -26,17 +25,11 @@ func newCache(capacityBytes, ways, granuleBytes int) *cache {
 	if sets == 0 {
 		sets = 1
 	}
-	shift := uint(0)
-	for 1<<shift < granuleBytes {
-		shift++
-	}
 	return &cache{
-		sets:    sets,
 		ways:    ways,
-		shift:   shift,
+		shift:   log2up(granuleBytes),
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*ways),
-		stamps:  make([]uint64, sets*ways),
 	}
 }
 
@@ -47,44 +40,40 @@ func newCacheEntries(entries, ways, granuleBytes int) *cache {
 }
 
 // access looks addr up, inserting on miss. Returns true on hit. This is
-// the single hottest function of the whole simulator, so the common case
-// is kept to a handful of instructions: a set's ways are an *unordered*
-// tag→stamp map (eviction picks the minimum stamp wherever it sits), so
-// hits are swapped into way 0 — move-to-front — making "hit in way 0"
-// one compare and one stamp write, with zero observable difference in
-// hit/miss behavior or eviction decisions.
+// the single hottest function of the whole simulator. A hit in way 0
+// changes nothing; a hit in way w moves it to the front, shifting ways
+// 0..w-1 down by one; a miss shifts the whole set, dropping the least
+// recent line off the end, and inserts at the front.
 func (c *cache) access(addr uint64) bool {
-	c.clock++
 	c.accesses++
 	key := addr >> c.shift
 	set := int(key&c.setMask) * c.ways
 	tag := key + 1
 	tags := c.tags[set : set+c.ways]
-	stamps := c.stamps[set : set+c.ways : set+c.ways]
-	if tags[0] == tag { // MRU fast path
-		stamps[0] = c.clock
+	if tags[0] == tag {
 		return true
 	}
 	for w := 1; w < len(tags); w++ {
 		if tags[w] == tag {
-			tags[w], tags[0] = tags[0], tag
-			stamps[w] = stamps[0]
-			stamps[0] = c.clock
+			toFront(tags, w, tag)
 			return true
 		}
 	}
 	c.misses++
-	lruIdx := 0
-	lruStamp := stamps[0]
-	for w := 1; w < len(stamps); w++ {
-		if s := stamps[w]; s < lruStamp {
-			lruStamp = s
-			lruIdx = w
-		}
-	}
-	tags[lruIdx] = tag
-	stamps[lruIdx] = c.clock
+	toFront(tags, len(tags)-1, tag)
 	return false
+}
+
+// toFront makes v the most recent entry of a recency-ordered set by
+// shifting s[0..w-1] down one way, overwriting s[w]. A loop, not copy:
+// copy calls runtime.memmove, which on sets this short measured no
+// better and keeps access from being call-free (docs/perf.md).
+func toFront(s []uint64, w int, v uint64) {
+	s = s[:w+1]
+	for i := len(s) - 1; i > 0; i-- {
+		s[i] = s[i-1]
+	}
+	s[0] = v
 }
 
 // probe reports whether addr is present without updating LRU or inserting.
@@ -92,12 +81,8 @@ func (c *cache) probe(addr uint64) bool {
 	key := addr >> c.shift
 	set := int(key&c.setMask) * c.ways
 	tag := key + 1
-	tags := c.tags[set : set+c.ways]
-	if tags[0] == tag { // MRU fast path (see access)
-		return true
-	}
-	for w := 1; w < len(tags); w++ {
-		if tags[w] == tag {
+	for _, t := range c.tags[set : set+c.ways] {
+		if t == tag {
 			return true
 		}
 	}
@@ -105,15 +90,13 @@ func (c *cache) probe(addr uint64) bool {
 }
 
 // btb is a branch target buffer: like cache but each entry also stores the
-// last observed target, enabling indirect-branch target prediction.
+// last observed target, enabling indirect-branch target prediction. Both
+// slices are kept in the same recency order as a cache set's tags.
 type btb struct {
-	sets    int
 	ways    int
 	setMask uint64
 	tags    []uint64
 	targets []uint64
-	stamps  []uint64
-	clock   uint64
 }
 
 func newBTB(entries, ways int) *btb {
@@ -125,97 +108,37 @@ func newBTB(entries, ways int) *btb {
 		sets = 1
 	}
 	return &btb{
-		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*ways),
 		targets: make([]uint64, sets*ways),
-		stamps:  make([]uint64, sets*ways),
 	}
 }
 
-// lookup returns (predicted target, present). Branch PCs are distinct per
-// 16-byte instruction, so the PC itself is the key.
-func (b *btb) lookup(pc uint64) (uint64, bool) {
-	key := pc >> 4
-	set := int(key&b.setMask) * b.ways
-	tag := key + 1
-	for w := 0; w < b.ways; w++ {
-		i := set + w
-		if b.tags[i] == tag {
-			b.clock++
-			b.stamps[i] = b.clock
-			return b.targets[i], true
-		}
-	}
-	return 0, false
-}
-
-// predictUpdate is lookup followed by update fused into one scan: it
-// returns the prediction that was stored for pc and records the actual
-// target, refreshing recency once. Only the relative order of stamp
-// assignments is observable (eviction compares stamps within a set), and
-// that order is identical to the two-call sequence; like the caches,
-// hits move to way 0 so repeated branches resolve on the first compare.
+// predictUpdate returns the target stored for pc (and whether pc was
+// present) and records the actual target, making pc the most recent
+// entry of its set. Branch PCs are distinct per 16-byte instruction, so
+// the PC itself is the key.
 func (b *btb) predictUpdate(pc, target uint64) (uint64, bool) {
-	b.clock++
 	key := pc >> 4
 	set := int(key&b.setMask) * b.ways
 	tag := key + 1
 	tags := b.tags[set : set+b.ways]
 	targets := b.targets[set : set+b.ways : set+b.ways]
-	stamps := b.stamps[set : set+b.ways : set+b.ways]
-	if tags[0] == tag { // MRU fast path
+	if tags[0] == tag {
 		pred := targets[0]
 		targets[0] = target
-		stamps[0] = b.clock
 		return pred, true
 	}
 	for w := 1; w < len(tags); w++ {
 		if tags[w] == tag {
 			pred := targets[w]
-			tags[w], tags[0] = tags[0], tag
-			targets[w], targets[0] = targets[0], target
-			stamps[w] = stamps[0]
-			stamps[0] = b.clock
+			toFront(tags, w, tag)
+			toFront(targets, w, target)
 			return pred, true
 		}
 	}
-	lruIdx := 0
-	lruStamp := stamps[0]
-	for w := 1; w < len(stamps); w++ {
-		if s := stamps[w]; s < lruStamp {
-			lruStamp = s
-			lruIdx = w
-		}
-	}
-	tags[lruIdx] = tag
-	targets[lruIdx] = target
-	stamps[lruIdx] = b.clock
+	toFront(tags, len(tags)-1, tag)
+	toFront(targets, len(targets)-1, target)
 	return 0, false
-}
-
-// update records the actual target for pc, inserting if absent.
-func (b *btb) update(pc, target uint64) {
-	b.clock++
-	key := pc >> 4
-	set := int(key&b.setMask) * b.ways
-	tag := key + 1
-	var lruIdx int
-	var lruStamp uint64 = ^uint64(0)
-	for w := 0; w < b.ways; w++ {
-		i := set + w
-		if b.tags[i] == tag {
-			b.targets[i] = target
-			b.stamps[i] = b.clock
-			return
-		}
-		if b.stamps[i] < lruStamp {
-			lruStamp = b.stamps[i]
-			lruIdx = i
-		}
-	}
-	b.tags[lruIdx] = tag
-	b.targets[lruIdx] = target
-	b.stamps[lruIdx] = b.clock
 }

@@ -73,10 +73,9 @@ type Core struct {
 	retireCost float64
 	bucketAcc  [4]*float64
 
-	// l1dTags/l1dStamps alias the L1d's arrays so the inline MemFast
-	// reaches them with one indirection fewer.
-	l1dTags   []uint64
-	l1dStamps []uint64
+	// l1dTags aliases the L1d's tag array so the inline MemFast reaches
+	// it with one indirection fewer.
+	l1dTags []uint64
 }
 
 // NewCore builds a core attached to the shared hierarchy.
@@ -106,7 +105,7 @@ func NewCore(id int, cfg *Config, sh *Shared) *Core {
 		BucketBadSpec:  &c.stallBS,
 		BucketBackEnd:  &c.stallBE,
 	}
-	c.l1dTags, c.l1dStamps = c.l1d.tags, c.l1d.stamps
+	c.l1dTags = c.l1d.tags
 	return c
 }
 
@@ -187,19 +186,17 @@ func (c *Core) fetchLine(pc, line uint64) {
 
 	// Warm-stream fast path: same page as the last fetch, and both the
 	// demand line and its prefetch-next line sit in their sets' way 0
-	// (the MRU position move-to-front maintains). Then the full path
-	// below would charge nothing and change nothing except the demand
-	// line's recency stamp — replicate exactly that and return. Any
-	// condition that fails falls through to the full model.
+	// (the most recent position). Then the full path below would charge
+	// nothing and change nothing but the L1i's access count — replicate
+	// exactly that and return. Any condition that fails falls through to
+	// the full model.
 	l1i := c.l1i
 	key := pc >> l1i.shift
 	set := int(key&l1i.setMask) * l1i.ways
 	nset := int((key+1)&l1i.setMask) * l1i.ways
 	if pc>>c.pageShift+1 == c.lastFetchPage &&
 		l1i.tags[set] == key+1 && l1i.tags[nset] == key+2 {
-		l1i.clock++
 		l1i.accesses++
-		l1i.stamps[set] = l1i.clock
 		return
 	}
 

@@ -127,17 +127,39 @@ func TestRAS(t *testing.T) {
 }
 
 func TestBTB(t *testing.T) {
-	b := newBTB(16, 4)
-	if _, hit := b.lookup(0x400000); hit {
+	b := newBTB(16, 4) // 4 sets of 4 ways
+	if _, hit := b.predictUpdate(0x400000, 0x500000); hit {
 		t.Error("cold BTB should miss")
 	}
-	b.update(0x400000, 0x500000)
-	if tgt, hit := b.lookup(0x400000); !hit || tgt != 0x500000 {
-		t.Errorf("lookup = %#x,%v", tgt, hit)
+	if tgt, hit := b.predictUpdate(0x400000, 0x600000); !hit || tgt != 0x500000 {
+		t.Errorf("predictUpdate = %#x,%v, want the stored 0x500000 and a hit", tgt, hit)
 	}
-	b.update(0x400000, 0x600000) // retarget
-	if tgt, _ := b.lookup(0x400000); tgt != 0x600000 {
-		t.Error("update should retarget")
+	if tgt, hit := b.predictUpdate(0x400000, 0x600000); !hit || tgt != 0x600000 {
+		t.Errorf("predictUpdate = %#x,%v, want the retarget 0x600000 stored", tgt, hit)
+	}
+
+	// Four PCs of one set (a set is every fourth 16-byte slot), then the
+	// oldest, pc[0], retargeted: that makes pc[1] the least recent, so a
+	// fifth PC evicts pc[1] and keeps pc[0].
+	b = newBTB(16, 4)
+	var pc [5]uint64
+	for i := range pc {
+		pc[i] = 0x400000 + uint64(i)*4*16
+	}
+	for _, p := range pc[:4] {
+		b.predictUpdate(p, p+1)
+	}
+	b.predictUpdate(pc[0], 0x700000)
+	if _, hit := b.predictUpdate(pc[4], pc[4]+1); hit {
+		t.Error("fifth PC of a 4-way set should miss")
+	}
+	for _, p := range []uint64{pc[0], pc[2], pc[3], pc[4]} {
+		if _, hit := b.predictUpdate(p, p+1); !hit {
+			t.Errorf("PC %#x was evicted; only the least recent pc[1] should be", p)
+		}
+	}
+	if _, hit := b.predictUpdate(pc[1], pc[1]+1); hit {
+		t.Error("the least recent PC should have been evicted")
 	}
 }
 

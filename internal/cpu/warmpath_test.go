@@ -27,8 +27,9 @@ func tinyConfig() *Config {
 // having changed nothing; and RetireBulk(n, d) is n Retire calls. Twin
 // cores consume the same seeded random event stream — one through
 // XFast-then-fallback, one through the full path only — and their
-// complete state (every cache way, stamp, predictor entry, ring slot and
-// accumulator) must be equal after every event, with the LBR off and on.
+// complete state (every cache and BTB way in recency order, every access
+// count, predictor entry, ring slot and accumulator) must be equal after
+// every event, with the LBR off and on.
 func TestWarmPathContract(t *testing.T) {
 	for _, lbr := range []bool{false, true} {
 		cfg := tinyConfig()

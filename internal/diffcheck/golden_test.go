@@ -45,7 +45,8 @@ func referenceRun(p *proc.Process, maxInst uint64) uint64 {
 // work a pure wall-clock matter — any model drift (an event reordered, a
 // stall charged twice, a float added in a different order) shows up as a
 // Stats mismatch here, and a skipped or extra warm fetch, which only
-// moves an LRU stamp, as a Core mismatch. The splicing run must actually
+// moves the L1i's access count (cache sets keep recency by way order,
+// and a way-0 hit reorders nothing), as a Core mismatch. The splicing run must actually
 // exercise spliced traces (formation plus in-trace retirement), so the
 // gate cannot silently pass by never entering what it pins; and the
 // perturbed run must decode and splice exactly what the fixed-quantum

@@ -63,6 +63,12 @@ go test -race ./... || { upload_journals; exit 1; }
 echo "== go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile"
 go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile
 
+# Timing-model oracle (see docs/testing.md): fuzz the recency-ordered
+# cache and BTB against the stamp-LRU reference they replaced, beyond the
+# committed seed corpus the ./... pass already ran.
+echo "== go test -run '^\$' -fuzz FuzzLRUMatchesReference -fuzztime 10s ./internal/cpu"
+go test -run '^$' -fuzz FuzzLRUMatchesReference -fuzztime 10s ./internal/cpu
+
 # Transactional-replacement gate (see docs/robustness.md): the sampled
 # fault sweep proves every injected tracee fault rolls back
 # bit-identically to the baseline (-short samples indices — a different
