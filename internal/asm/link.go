@@ -61,7 +61,14 @@ type LinkInput struct {
 func Link(in LinkInput) (*obj.Binary, error) {
 	// Symbol table: fragment name → address. Cold fragments are address
 	// targets for branches but not call targets; include them anyway (a
-	// name can only be referenced by the matching operand kind).
+	// name can only be referenced by the matching operand kind). The same
+	// pass sizes each code section from its placements' extent, so its
+	// image is allocated once, at its final size.
+	type codeSection struct {
+		lo, hi uint64
+		data   []byte
+	}
+	secs := make(map[string]*codeSection)
 	syms := make(map[string]uint64, len(in.Placements))
 	frags := make(map[string]*Placement, len(in.Placements))
 	for i := range in.Placements {
@@ -77,6 +84,15 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		}
 		frags[p.Frag.Name] = p
 		syms[p.Frag.Name] = p.Addr
+		end := p.Addr + p.Frag.Size()
+		if si := secs[p.Section]; si == nil {
+			secs[p.Section] = &codeSection{lo: p.Addr, hi: end}
+		} else {
+			si.lo, si.hi = min(si.lo, p.Addr), max(si.hi, end)
+		}
+	}
+	for _, si := range secs {
+		si.data = make([]byte, si.hi-si.lo)
 	}
 
 	refAddr := func(r Ref) (uint64, error) {
@@ -110,17 +126,11 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		}
 	}
 
-	// Encode fragments.
-	type secImage struct {
-		lo, hi uint64
-		chunks []struct {
-			addr uint64
-			data []byte
-		}
-	}
-	secs := make(map[string]*secImage)
+	// Encode each fragment in place in its section's image, in placement
+	// order (a later placement overwrites an earlier one it overlaps).
 	for _, p := range in.Placements {
-		code := make([]byte, p.Frag.Size())
+		si := secs[p.Section]
+		code := si.data[p.Addr-si.lo:]
 		for i, fi := range p.Frag.Insts {
 			inst := fi.I
 			pc := p.Addr + uint64(i)*isa.InstBytes
@@ -153,21 +163,6 @@ func Link(in LinkInput) (*obj.Binary, error) {
 			}
 			inst.Encode(code[i*isa.InstBytes:])
 		}
-		si := secs[p.Section]
-		if si == nil {
-			si = &secImage{lo: p.Addr, hi: p.Addr}
-			secs[p.Section] = si
-		}
-		if p.Addr < si.lo {
-			si.lo = p.Addr
-		}
-		if end := p.Addr + uint64(len(code)); end > si.hi {
-			si.hi = end
-		}
-		si.chunks = append(si.chunks, struct {
-			addr uint64
-			data []byte
-		}{p.Addr, code})
 	}
 
 	b := &obj.Binary{
@@ -179,15 +174,9 @@ func Link(in LinkInput) (*obj.Binary, error) {
 
 	// Materialize code sections.
 	for _, name := range []string{obj.SecText, obj.SecOrgText, obj.SecColdText} {
-		si := secs[name]
-		if si == nil {
-			continue
+		if si := secs[name]; si != nil {
+			b.Sections = append(b.Sections, &obj.Section{Name: name, Addr: si.lo, Data: si.data})
 		}
-		data := make([]byte, si.hi-si.lo)
-		for _, c := range si.chunks {
-			copy(data[c.addr-si.lo:], c.data)
-		}
-		b.Sections = append(b.Sections, &obj.Section{Name: name, Addr: si.lo, Data: data})
 	}
 
 	// .rodata: jump tables.

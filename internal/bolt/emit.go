@@ -9,12 +9,6 @@ import (
 	"repro/internal/obj"
 )
 
-// blockPos locates a CFG block in the emitted layout.
-type blockPos struct {
-	frag  string
-	index int // index of the block's first instruction in the fragment
-}
-
 // emitFunc lowers one function with the chosen hot/cold block layout into
 // fragments with symbolic operands, performing the branch fixups the new
 // adjacency requires:
@@ -41,34 +35,25 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 		return nil, nil, nil, fmt.Errorf("bolt: %s: layout must start with the entry block", fn.Name)
 	}
 
-	hotName := fn.Name
-	coldName := fn.Name + asm.ColdSuffix
 	layouts := [2][]int{hotOrder, coldOrder}
-	names := [2]string{hotName, coldName}
+	names := [2]string{fn.Name, fn.Name + asm.ColdSuffix}
 
 	// Pass 1: per-block emitted instruction counts given adjacency.
-	nextOf := make(map[int]int) // block → physically next block (-1 none)
-	fragOf := make(map[int]int) // block → 0 hot / 1 cold
-	for li, order := range layouts {
-		for i, b := range order {
-			fragOf[b] = li
-			if i+1 < len(order) {
-				nextOf[b] = order[i+1]
-			} else {
-				nextOf[b] = -1
-			}
-		}
-	}
-
 	type plan struct {
 		count   int  // emitted instructions
 		dropJmp bool // trailing JMP removed
 		invert  bool // trailing JCC inverted (branch to FallTo instead)
 		addJmp  int  // block to JMP to after body (-1 none)
+		frag    int  // 0 hot / 1 cold
+		index   int  // index of the block's first instruction in its fragment
 	}
-	plans := make(map[int]*plan)
-	for _, order := range layouts {
-		for _, bi := range order {
+	plans := make([]plan, len(cfg.Blocks))
+	for li, order := range layouts {
+		for i, bi := range order {
+			next := -1 // physically next block
+			if i+1 < len(order) {
+				next = order[i+1]
+			}
 			b := cfg.Blocks[bi]
 			n := len(b.Insts)
 			if peephole {
@@ -81,8 +66,8 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 					}
 				}
 			}
-			p := &plan{count: n, addJmp: -1}
-			next := nextOf[bi]
+			p := &plans[bi]
+			*p = plan{count: n, addJmp: -1, frag: li}
 			switch term := b.Terminator(); term.Op {
 			case isa.JMP:
 				if b.CondTarget == next {
@@ -110,24 +95,22 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 					p.count++
 				}
 			}
-			plans[bi] = p
 		}
 	}
 
 	// Pass 2: block start indexes.
-	pos := make(map[int]blockPos)
 	var fragLen [2]int
 	for li, order := range layouts {
 		idx := 0
 		for _, bi := range order {
-			pos[bi] = blockPos{frag: names[li], index: idx}
+			plans[bi].index = idx
 			idx += plans[bi].count
 		}
 		fragLen[li] = idx
 	}
 	ref := func(bi int) *asm.Ref {
-		p := pos[bi]
-		return &asm.Ref{Frag: p.frag, Index: p.index}
+		p := &plans[bi]
+		return &asm.Ref{Frag: names[p.frag], Index: p.index}
 	}
 	// newOff maps an emitted instruction index to its unified offset in the
 	// new layout (cold instructions continue past the hot fragment).
@@ -138,11 +121,8 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 		return uint64(idx) * isa.InstBytes
 	}
 	blockNewOff := func(bi int) uint64 {
-		p := pos[bi]
-		if p.frag == coldName {
-			return newOff(1, p.index)
-		}
-		return newOff(0, p.index)
+		p := &plans[bi]
+		return newOff(p.frag, p.index)
 	}
 
 	// OSR points: the entry, then every backward-edge target (loop
@@ -174,10 +154,14 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 		if li == 1 && len(order) == 0 {
 			continue
 		}
-		frag := &asm.Fragment{Name: names[li]}
+		frag := &asm.Fragment{
+			Name:   names[li],
+			Insts:  make([]asm.FInst, 0, fragLen[li]),
+			Blocks: make([]int, 0, len(order)),
+		}
 		for _, bi := range order {
 			b := cfg.Blocks[bi]
-			p := plans[bi]
+			p := &plans[bi]
 			if p.count > 0 {
 				frag.Blocks = append(frag.Blocks, len(frag.Insts))
 			}

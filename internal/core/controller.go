@@ -466,7 +466,10 @@ func (c *Controller) boltOptions() bolt.Options {
 // layout — the expensive pipeline never runs — and concurrent misses on
 // one key coalesce into a single BOLT run. The round's perf2bolt/bolt
 // stage spans are emitted either way, carrying cache_hit so a trace
-// shows which services paid for the layout and which reused it.
+// shows which services paid for the layout and which reused it. Hits,
+// coalesced lookups and the miss that filled the entry all return the
+// cached result itself: one image per layout, shared by every controller
+// that injects it and read-only to all of them (layout.Entry).
 func (c *Controller) BuildOptimized(raw *perf.RawProfile) (*BuildStats, error) {
 	input := c.orig
 	if c.curBin != nil {
@@ -514,12 +517,7 @@ func (c *Controller) BuildOptimized(raw *perf.RawProfile) (*BuildStats, error) {
 		stats = &BuildStats{CacheHit: true}
 	}
 	stats.LayoutKey = key.String()
-	// Hand out a private copy of the cached image: entries are shared
-	// fleet-wide and must stay immutable, while the caller's binary is
-	// injected into (and retained by) one specific process.
-	res := *entry.Result
-	res.Binary = entry.Result.Binary.Clone()
-	stats.Result = &res
+	stats.Result = entry.Result
 	return stats, nil
 }
 

@@ -16,6 +16,12 @@ type cache struct {
 
 // newCache builds a cache of capacity bytes with the given associativity
 // and granularity (line size for caches, page size for TLBs).
+//
+// The set index is key & (sets-1), which reaches every set only when
+// sets is a power of two; otherwise only 2^popcount(sets-1) sets are ever
+// used. The default L3 (20,480 sets) therefore behaves as 8 MiB and the
+// L2 TLB (192 sets) as 1,024 entries. TestSetIndexReach pins both; a fix
+// changes simulated numbers and belongs with the model-fidelity work.
 func newCache(capacityBytes, ways, granuleBytes int) *cache {
 	lines := capacityBytes / granuleBytes
 	if lines < ways {

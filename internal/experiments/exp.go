@@ -2,7 +2,7 @@
 // evaluation (§VI) against the simulated substrate. Each experiment is a
 // function that runs the measurement and prints paper-style rows/series;
 // the Registry maps experiment names (fig3, fig5, …, tab1, tab2) to
-// runners for cmd/experiments and the root-level benchmarks.
+// runners for cmd/experiments.
 package experiments
 
 import (

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/obj"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -97,6 +99,108 @@ func TestHomogeneousWaveHitsCache(t *testing.T) {
 			t.Errorf("%s at %.2fx of baseline on the cached layout", st.Name, st.Speedup)
 		}
 	}
+}
+
+// fillRecorder is a layout.Memory that remembers every entry it hands
+// out, with a pristine copy of each image taken when its BOLT run filled
+// it. Embedding keeps Memory's single-flight Do, so coalescing still
+// happens.
+type fillRecorder struct {
+	*layout.Memory
+	mu     sync.Mutex
+	filled map[*obj.Binary]*obj.Binary // cached image → copy taken at fill
+}
+
+func (r *fillRecorder) Do(k layout.Key, compute func() (*layout.Entry, error)) (*layout.Entry, layout.Outcome, error) {
+	e, outcome, err := r.Memory.Do(k, compute)
+	if err == nil && outcome == layout.Miss {
+		r.mu.Lock()
+		r.filled[e.Result.Binary] = e.Result.Binary.Clone()
+		r.mu.Unlock()
+	}
+	return e, outcome, err
+}
+
+// TestCacheHitSharesImmutableImage pins the sharing contract behind
+// layout.Entry: every replica a cached layout lands on runs from the one
+// cached image (no per-hit copy), and nothing a replica does afterwards
+// (replacement, a re-BOLT from that image, a revert) writes to it.
+func TestCacheHitSharesImmutableImage(t *testing.T) {
+	const n = 4
+	rc := &fillRecorder{Memory: layout.NewMemory(0, nil), filled: map[*obj.Binary]*obj.Binary{}}
+	// MaxRounds 2 makes the services re-BOLT-capable; a ConvergeGain no
+	// round can reach ends every wave after one round.
+	m, svcs := homogeneousFleet(t, n, Config{
+		Workers:    4,
+		Cache:      CacheConfig{Layout: rc},
+		Robustness: RobustnessConfig{MaxRounds: 2, ConvergeGain: 1},
+	})
+	unchanged := func(when string) {
+		t.Helper()
+		for bin, pristine := range rc.filled {
+			if got, want := layout.BinaryFingerprint(bin), layout.BinaryFingerprint(pristine); got != want {
+				t.Errorf("%s: cached image %p changed: fingerprint %s, filled as %s", when, bin, got, want)
+			}
+		}
+	}
+	// onCachedImage checks that every replica runs a cached image, and
+	// that the code it runs is that image's code as filled.
+	onCachedImage := func(when string) {
+		t.Helper()
+		for _, s := range svcs {
+			pristine, ok := rc.filled[s.Ctl.CurrentBinary()]
+			if !ok {
+				t.Errorf("%s: %s runs version %d from a binary that is not a cached image",
+					when, s.Name, s.Ctl.Version())
+				continue
+			}
+			for _, name := range []string{obj.SecText, obj.SecColdText} {
+				sec := pristine.Section(name)
+				if sec == nil {
+					continue
+				}
+				live := make([]byte, len(sec.Data))
+				s.Proc.Mem.Read(sec.Addr, live)
+				if !bytes.Equal(live, sec.Data) {
+					t.Errorf("%s: %s's %s differs from the cached image as filled", when, s.Name, name)
+				}
+			}
+		}
+	}
+
+	m.Optimize(m.Scan(ScanOptions{}), WaveOptions{})
+	if len(rc.filled) != 1 {
+		t.Fatalf("first wave filled %d cache entries, want 1", len(rc.filled))
+	}
+	onCachedImage("first wave")
+	shared := svcs[0].Ctl.CurrentBinary()
+	for _, s := range svcs[1:] {
+		if s.Ctl.CurrentBinary() != shared {
+			t.Errorf("%s does not share %s's image", s.Name, svcs[0].Name)
+		}
+	}
+	unchanged("first wave")
+
+	// A second round re-BOLTs from the shared image.
+	m.Optimize(m.Scan(ScanOptions{}), WaveOptions{})
+	for _, s := range svcs {
+		if v, st := s.Ctl.Version(), s.State(); v != 2 || st != Steady {
+			t.Fatalf("%s at version %d, %s after the second wave, want 2, steady (%v)", s.Name, v, st, s.Err())
+		}
+	}
+	if len(rc.filled) < 2 {
+		t.Fatalf("second wave filled no new cache entry")
+	}
+	onCachedImage("second wave")
+	unchanged("second wave")
+
+	if _, err := svcs[0].Ctl.Revert(); err != nil {
+		t.Fatal(err)
+	}
+	if b := svcs[0].Ctl.CurrentBinary(); b != nil {
+		t.Fatalf("%s still runs an optimized image after Revert", svcs[0].Name)
+	}
+	unchanged("revert")
 }
 
 // TestWaveNoCacheAblation: Config.Cache.Disable is the redundant-work

@@ -50,9 +50,10 @@ func (k Key) String() string {
 }
 
 // Entry is one cached optimization result: the layout decisions plus the
-// emitted binary embodying them. Entries are immutable once stored —
-// consumers that inject the binary into a live process must work on
-// Result.Binary.Clone(), never the cached image itself.
+// emitted binary embodying them. Entries and their binaries are
+// read-only to every consumer: a hit hands out the cached image itself,
+// shared by every process it is injected into (injection copies the
+// bytes into guest memory), so no consumer may write to it.
 type Entry struct {
 	Result *bolt.Result
 }

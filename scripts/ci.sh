@@ -34,6 +34,11 @@ fi
 [ "$(cat $(ls internal/proc/*.go | grep -v _test.go) | grep -c 'case isa\.ADD:')" -le 2 ] || { echo "internal/proc executes isa.ADD in more than two places (Step + the trace engine)"; exit 1; }
 # One front-end entry in the timing model: Core.Fetch, no fetch twins.
 [ "$(cat $(ls internal/cpu/*.go | grep -v _test.go) | grep -c '^func (c \*Core) Fetch')" -le 1 ] || { echo "internal/cpu declares more than one Core.Fetch* method (Fetch is the one front-end entry)"; exit 1; }
+# One copy of each optimized image: a layout-cache hit shares the cached
+# binary, so the controller never copies one (layout.Entry's contract).
+if cat $(ls internal/core/*.go | grep -v _test.go) | grep -q '\.Clone()'; then
+    echo "non-test internal/core calls .Clone(); the cached image is the one copy (layout.Entry)"; exit 1
+fi
 # One benchmark track: bench/ (run by BENCHMARK.json), no second harness.
 if [ -e scripts/bench.sh ] || ls BENCH_*.json >/dev/null 2>&1 || grep -rq --include='*_test.go' '_BENCH_' .; then
     echo "a second benchmark track is back (scripts/bench.sh, a root BENCH_*.json or a *_test.go reading a *_BENCH_* env var); measure in bench/"; exit 1
