@@ -22,8 +22,23 @@ type cache struct {
 // used. The default L3 (20,480 sets) therefore behaves as 8 MiB and the
 // L2 TLB (192 sets) as 1,024 entries. TestSetIndexReach pins both; a fix
 // changes simulated numbers and belongs with the model-fidelity work.
+//
+// The tags are one array allocated up front. The shared L3, the one
+// structure large enough for that to matter, is a blockedCache instead:
+// the same geometry and index, its tags allocated per block on touch.
 func newCache(capacityBytes, ways, granuleBytes int) *cache {
-	lines := capacityBytes / granuleBytes
+	ways, sets := geometry(capacityBytes/granuleBytes, ways)
+	return &cache{
+		ways:    ways,
+		shift:   log2up(granuleBytes),
+		setMask: uint64(sets - 1),
+		tags:    make([]uint64, sets*ways),
+	}
+}
+
+// geometry returns the ways and sets of a structure of lines entries:
+// ways is clamped to lines, and there is at least one set.
+func geometry(lines, ways int) (int, int) {
 	if lines < ways {
 		ways = lines
 	}
@@ -31,12 +46,7 @@ func newCache(capacityBytes, ways, granuleBytes int) *cache {
 	if sets == 0 {
 		sets = 1
 	}
-	return &cache{
-		ways:    ways,
-		shift:   log2up(granuleBytes),
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, sets*ways),
-	}
+	return ways, sets
 }
 
 // newCacheEntries builds a cache with a fixed entry count (for TLBs/BTBs
@@ -82,6 +92,56 @@ func toFront(s []uint64, w int, v uint64) {
 	s[0] = v
 }
 
+// blockSets is how many L3 sets are allocated at a time (32 KiB of tags
+// at 16 ways). The size decides when blocks appear, not only how much
+// they hold: with 256-set blocks every block a bench replica ever
+// touches is allocated in its untimed warm-up, while 64-set blocks moved
+// allocation into the timed wave (docs/perf.md).
+const blockShift = 8
+const blockSets = 1 << blockShift
+
+// blockedCache is the shared L3: a cache whose sets sit in fixed-size
+// blocks, each a cache of blockSets sets allocated on the first access
+// that lands in it, the way guest pages are. The default L3 is 2.6 MB of
+// tags; the set index reaches 8,192 of its 20,480 sets and a guest
+// touches fewer. Block set/blockSets holds set, and its own index,
+// key & setMask % blockSets, is set % blockSets. An unallocated block
+// reads exactly like a zeroed one, so nothing the model computes depends
+// on when a block appeared.
+type blockedCache struct {
+	ways    int
+	shift   uint
+	setMask uint64
+	blocks  []*cache // sets/blockSets rounded up; nil = never touched
+}
+
+func newBlockedCache(capacityBytes, ways, granuleBytes int) *blockedCache {
+	ways, sets := geometry(capacityBytes/granuleBytes, ways)
+	return &blockedCache{
+		ways:    ways,
+		shift:   log2up(granuleBytes),
+		setMask: uint64(sets - 1),
+		blocks:  make([]*cache, (sets+blockSets-1)/blockSets),
+	}
+}
+
+// access is cache.access on the block that holds addr's set, allocating
+// the block if this is its first touch.
+func (c *blockedCache) access(addr uint64) bool {
+	i := (addr >> c.shift & c.setMask) >> blockShift
+	b := c.blocks[i]
+	if b == nil {
+		b = &cache{
+			ways:    c.ways,
+			shift:   c.shift,
+			setMask: c.setMask & (blockSets - 1),
+			tags:    make([]uint64, blockSets*c.ways),
+		}
+		c.blocks[i] = b
+	}
+	return b.access(addr)
+}
+
 // probe reports whether addr is present without updating LRU or inserting.
 func (c *cache) probe(addr uint64) bool {
 	key := addr >> c.shift
@@ -106,13 +166,7 @@ type btb struct {
 }
 
 func newBTB(entries, ways int) *btb {
-	if entries < ways {
-		ways = entries
-	}
-	sets := entries / ways
-	if sets == 0 {
-		sets = 1
-	}
+	ways, sets := geometry(entries, ways)
 	return &btb{
 		ways:    ways,
 		setMask: uint64(sets - 1),

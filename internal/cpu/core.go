@@ -14,12 +14,15 @@ const (
 
 // Shared holds structures shared by all cores of the simulated socket.
 type Shared struct {
-	l3 *cache
+	l3 *blockedCache
 }
 
-// NewShared builds the shared level of the hierarchy.
+// NewShared builds the shared level of the hierarchy. The L3 holds no
+// tags until it is first accessed: each 256-set block of them is
+// allocated on the first access that lands in it, so a process pays
+// for the sets its guest touches, not for the whole configured size.
 func NewShared(cfg *Config) *Shared {
-	return &Shared{l3: newCache(cfg.L3KiB*1024, cfg.L3Ways, cfg.LineBytes)}
+	return &Shared{l3: newBlockedCache(cfg.L3KiB*1024, cfg.L3Ways, cfg.LineBytes)}
 }
 
 // Core models the timing of one hardware core. The process scheduler

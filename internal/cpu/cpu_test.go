@@ -3,6 +3,7 @@ package cpu
 import (
 	"math"
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -472,7 +473,7 @@ func TestSetIndexReach(t *testing.T) {
 		{"L1i", c.l1i.setMask, c.l1i.ways, len(c.l1i.tags), 0},
 		{"L1d", c.l1d.setMask, c.l1d.ways, len(c.l1d.tags), 0},
 		{"L2", c.l2.setMask, c.l2.ways, len(c.l2.tags), 0},
-		{"L3", c.sh.l3.setMask, c.sh.l3.ways, len(c.sh.l3.tags), 8192},
+		{"L3", c.sh.l3.setMask, c.sh.l3.ways, len(c.sh.l3.blocks) * blockSets * c.sh.l3.ways, 8192},
 		{"iTLB", c.itlb.setMask, c.itlb.ways, len(c.itlb.tags), 0},
 		{"L2 TLB", c.l2tlb.setMask, c.l2tlb.ways, len(c.l2tlb.tags), 128},
 		{"BTB", c.btb.setMask, c.btb.ways, len(c.btb.tags), 0},
@@ -486,5 +487,59 @@ func TestSetIndexReach(t *testing.T) {
 		if got := reach(tc.mask); got != want {
 			t.Errorf("%s: %d of %d allocated sets reachable (mask %#x), want %d", tc.name, got, sets, tc.mask, want)
 		}
+	}
+}
+
+// TestSharedL3AllocatesOnTouch pins what a process holds for the shared
+// L3: no tags until an access reaches it, then exactly the 256-set blocks
+// the accesses landed in, and under DefaultConfig never more than the 32
+// of its 80 blocks that contain a set the index reaches (0x4fff reaches
+// sets 0-4095 and 16384-20479).
+func TestSharedL3AllocatesOnTouch(t *testing.T) {
+	cfg := DefaultConfig()
+	sh := NewShared(cfg)
+	c := NewCore(0, cfg, sh)
+	l3 := sh.l3
+	if len(l3.blocks) != 80 {
+		t.Fatalf("default L3 has %d blocks, want 80 (20,480 sets of 256)", len(l3.blocks))
+	}
+	check := func(when string, want map[int]bool) {
+		t.Helper()
+		held := 0
+		for i, b := range l3.blocks {
+			if b != nil {
+				held++
+			}
+			if (b != nil) != want[i] {
+				t.Fatalf("%s: block %d held = %v, want %v", when, i, b != nil, want[i])
+			}
+		}
+		if held > 32 {
+			t.Fatalf("%s: %d blocks held, more than the 32 the set index reaches", when, held)
+		}
+	}
+	want := map[int]bool{}
+	check("fresh", want)
+
+	// A line's first touch misses the L1d and L2 and so reaches the L3;
+	// a repeat lands in a block its first touch already allocated.
+	rng := rand.New(rand.NewSource(1))
+	line := uint64(cfg.LineBytes)
+	for i := 0; i < 20; i++ {
+		addr := uint64(rng.Intn(1<<22))*line + uint64(rng.Intn(cfg.LineBytes))
+		c.Mem(addr, rng.Intn(4) == 0)
+		want[int(addr/line&l3.setMask)/blockSets] = true
+		check("random stream", want)
+	}
+	if len(want) < 10 || len(want) == 32 {
+		t.Fatalf("the random stream touched %d blocks: pick one that touches some, not all", len(want))
+	}
+	for l := uint64(0); l < 1<<15; l++ {
+		c.Mem(l*line, false)
+		want[int(l&l3.setMask)/blockSets] = true
+	}
+	check("sweep", want)
+	if len(want) != 32 {
+		t.Fatalf("a sweep of 2^15 lines touched %d blocks, want all 32 reachable", len(want))
 	}
 }

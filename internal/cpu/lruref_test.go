@@ -1,9 +1,15 @@
 package cpu
 
 import (
+	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -180,20 +186,46 @@ func (b *refBTB) predictUpdate(pc, target uint64) (uint64, bool) {
 }
 
 // lruGeom is one set-associative shape both models are built with: the
-// cache as newCacheEntries(entries, ways, granule), the BTB as
-// newBTB(entries, ways).
+// cache as newCacheEntries(entries, ways, granule), the blocked L3 cache
+// over the same capacity, the BTB as newBTB(entries, ways). corpus is
+// the name prefix of its fuzz seed files.
 type lruGeom struct {
-	name                   string
+	name, corpus           string
 	entries, ways, granule int
 }
 
+// lruGeoms is indexed by the first byte of a fuzz input modulo its
+// length, so new geometries go at the end (TestLRUCorpusGeometry).
 var lruGeoms = []lruGeom{
-	{"direct-mapped", 64, 1, 64},
-	{"2-way", 64, 2, 64},
-	{"4-way", 32, 4, 64},
-	{"8-way", 512, 8, 64},
-	{"iTLB (fully associative)", 64, 64, 4096},
+	{"direct-mapped", "direct-mapped", 64, 1, 64},
+	{"2-way", "2-way", 64, 2, 64},
+	{"4-way", "4-way", 32, 4, 64},
+	{"8-way", "8-way", 512, 8, 64},
+	{"iTLB (fully associative)", "itlb", 64, 64, 4096},
+	// 1,000 sets span four 256-set blocks, the last one partly; the mask
+	// 0x3e7 reaches 256 sets, 64 in each block.
+	{"L3 shape, 1,000 sets", "l3-1000", 4000, 4, 64},
 }
+
+// defaultL3Geom is the default L3, checked on the seeded streams only: a
+// fuzz op's 16-bit line can put at most eight lines in one of its 16-way
+// sets (the mask 0x4fff leaves bits 12, 13 and 15 free), so fuzzing it
+// would never evict. The 1,000-set shape covers eviction across blocks.
+var defaultL3Geom = lruGeom{"default L3 (20,480 x 16)", "", 20480 * 16, 16, 64}
+
+// lines is the span, in granules, the seeded streams are sized by: the
+// capacity the set index reaches (2^popcount(sets-1) sets, all of them
+// when the set count is a power of two), capped so the default L3 stays
+// a fast test. At the cap the random stream still reaches every block
+// the default L3's mask reaches.
+func (g lruGeom) lines() int {
+	return min(1<<bits.OnesCount(uint(g.entries/g.ways-1))*g.ways, 5120)
+}
+
+// period is the smallest power of two at least the set count: a stride
+// of it, unlike one of the set count, maps every access to one set
+// whether or not the set count is a power of two.
+func (g lruGeom) period() int { return 1 << bits.Len(uint(g.entries/g.ways-1)) }
 
 // lruOp is one access of an oracle stream. The cache pair looks up (or,
 // with probe set, only probes) addr; the BTB pair resolves a branch at
@@ -203,12 +235,13 @@ type lruOp struct {
 	probe        bool
 }
 
-// lruPair is one geometry's reference/new cache and BTB, advanced in
-// lockstep.
+// lruPair is one geometry's reference cache, the two caches checked
+// against it, and a reference/new BTB, advanced in lockstep.
 type lruPair struct {
 	g       lruGeom
 	ref     *refCache
 	got     *cache
+	gotL3   *blockedCache
 	refB    *refBTB
 	gotB    *btb
 	nthStep int
@@ -216,17 +249,43 @@ type lruPair struct {
 
 func newLRUPair(g lruGeom) *lruPair {
 	return &lruPair{
-		g:    g,
-		ref:  newRefCache(g.entries*g.granule, g.ways, g.granule),
-		got:  newCacheEntries(g.entries, g.ways, g.granule),
-		refB: newRefBTB(g.entries, g.ways),
-		gotB: newBTB(g.entries, g.ways),
+		g:     g,
+		ref:   newRefCache(g.entries*g.granule, g.ways, g.granule),
+		got:   newCacheEntries(g.entries, g.ways, g.granule),
+		gotL3: newBlockedCache(g.entries*g.granule, g.ways, g.granule),
+		refB:  newRefBTB(g.entries, g.ways),
+		gotB:  newBTB(g.entries, g.ways),
 	}
 }
 
-// step applies op to both pairs and fails on the first difference: the
-// hit/miss result, the predicted target and hit flag, the counters, and
-// the touched set's contents.
+// blockedSet returns key's set of c as the layout promises it — set s at
+// offset (s % blockSets) * ways of block s / blockSets — without
+// allocating: a block never touched reads as zeroed ways.
+func blockedSet(c *blockedCache, key uint64) []uint64 {
+	set := key & c.setMask
+	b := c.blocks[set/blockSets]
+	if b == nil {
+		return make([]uint64, c.ways)
+	}
+	i := int(set%blockSets) * c.ways
+	return b.tags[i : i+c.ways]
+}
+
+// counts returns c's accesses and misses: the sums of its blocks'.
+func (c *blockedCache) counts() (accesses, misses uint64) {
+	for _, b := range c.blocks {
+		if b != nil {
+			accesses += b.accesses
+			misses += b.misses
+		}
+	}
+	return accesses, misses
+}
+
+// step applies op to every model and fails on the first difference from
+// the reference: the hit/miss result, the predicted target and hit flag,
+// the counters, and the touched set's contents. The blocked L3 cache has
+// no probe (nothing probes the L3), so a probe op leaves it alone.
 func (p *lruPair) step(t testing.TB, op lruOp) {
 	t.Helper()
 	p.nthStep++
@@ -234,18 +293,26 @@ func (p *lruPair) step(t testing.TB, op lruOp) {
 		if r, g := p.ref.probe(op.addr), p.got.probe(op.addr); r != g {
 			t.Fatalf("%s op %d: probe(%#x) = %v, reference %v", p.g.name, p.nthStep, op.addr, g, r)
 		}
-	} else if r, g := p.ref.access(op.addr), p.got.access(op.addr); r != g {
-		t.Fatalf("%s op %d: access(%#x) = %v, reference %v", p.g.name, p.nthStep, op.addr, g, r)
+	} else {
+		r, g, l3 := p.ref.access(op.addr), p.got.access(op.addr), p.gotL3.access(op.addr)
+		if r != g || r != l3 {
+			t.Fatalf("%s op %d: access(%#x) = %v, blocked L3 %v, reference %v", p.g.name, p.nthStep, op.addr, g, l3, r)
+		}
 	}
-	if p.ref.accesses != p.got.accesses || p.ref.misses != p.got.misses {
-		t.Fatalf("%s op %d: accesses/misses %d/%d, reference %d/%d", p.g.name, p.nthStep,
-			p.got.accesses, p.got.misses, p.ref.accesses, p.ref.misses)
+	l3a, l3m := p.gotL3.counts()
+	if p.ref.accesses != p.got.accesses || p.ref.misses != p.got.misses ||
+		p.ref.accesses != l3a || p.ref.misses != l3m {
+		t.Fatalf("%s op %d: accesses/misses %d/%d, blocked L3 %d/%d, reference %d/%d", p.g.name, p.nthStep,
+			p.got.accesses, p.got.misses, l3a, l3m, p.ref.accesses, p.ref.misses)
 	}
 	key := op.addr >> p.got.shift
 	set := int(key&p.got.setMask) * p.got.ways
-	r, g := setOf(p.ref.tags[set:set+p.ref.ways], nil), setOf(p.got.tags[set:set+p.got.ways], nil)
-	if !equalSets(r, g) {
+	r := setOf(p.ref.tags[set:set+p.ref.ways], nil)
+	if g := setOf(p.got.tags[set:set+p.got.ways], nil); !equalSets(r, g) {
 		t.Fatalf("%s op %d: cache set %d holds %v, reference %v", p.g.name, p.nthStep, set/p.got.ways, g, r)
+	}
+	if g := setOf(blockedSet(p.gotL3, key), nil); !equalSets(r, g) {
+		t.Fatalf("%s op %d: blocked L3 set %d holds %v, reference %v", p.g.name, p.nthStep, set/p.got.ways, g, r)
 	}
 
 	pc := key << 4
@@ -257,8 +324,7 @@ func (p *lruPair) step(t testing.TB, op lruOp) {
 	}
 	set = int(key&p.gotB.setMask) * p.gotB.ways
 	r = setOf(p.refB.tags[set:set+p.refB.ways], p.refB.targets[set:set+p.refB.ways])
-	g = setOf(p.gotB.tags[set:set+p.gotB.ways], p.gotB.targets[set:set+p.gotB.ways])
-	if !equalSets(r, g) {
+	if g := setOf(p.gotB.tags[set:set+p.gotB.ways], p.gotB.targets[set:set+p.gotB.ways]); !equalSets(r, g) {
 		t.Fatalf("%s op %d: BTB set %d holds %v, reference %v", p.g.name, p.nthStep, set/p.gotB.ways, g, r)
 	}
 }
@@ -266,7 +332,7 @@ func (p *lruPair) step(t testing.TB, op lruOp) {
 // setOf returns a set's valid entries as sorted (tag, target) pairs, so
 // two sets compare equal whatever order their ways are kept in.
 func setOf(tags, targets []uint64) [][2]uint64 {
-	var s [][2]uint64
+	s := make([][2]uint64, 0, len(tags))
 	for w, tag := range tags {
 		if tag == 0 {
 			continue
@@ -277,7 +343,7 @@ func setOf(tags, targets []uint64) [][2]uint64 {
 		}
 		s = append(s, e)
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i][0] < s[j][0] })
+	slices.SortFunc(s, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
 	return s
 }
 
@@ -294,12 +360,13 @@ func equalSets(a, b [][2]uint64) bool {
 }
 
 // lruStreams are the seeded access patterns of the oracle, in units of
-// one granule (line or page) of g: each returns the ops of one stream.
+// one granule (line or page) of g, sized by g.lines(): each returns the
+// ops of one stream.
 var lruStreams = map[string]func(g lruGeom, rng *rand.Rand) []lruOp{
 	// A forward walk over twice the capacity: every line once, in order.
 	"sequential": func(g lruGeom, rng *rand.Rand) []lruOp {
 		var ops []lruOp
-		for i := 0; i < 2*g.entries; i++ {
+		for i := 0; i < 2*g.lines(); i++ {
 			ops = append(ops, lruOp{addr: uint64(i * g.granule), target: uint64(i)})
 		}
 		return ops
@@ -308,7 +375,8 @@ var lruStreams = map[string]func(g lruGeom, rng *rand.Rand) []lruOp{
 	// capacity, so the second shape thrashes true LRU.
 	"loops": func(g lruGeom, rng *rand.Rand) []lruOp {
 		var ops []lruOp
-		for _, body := range []int{g.entries - g.entries/4, g.entries + 1 + rng.Intn(g.entries/4+1)} {
+		n := g.lines()
+		for _, body := range []int{n - n/4, n + 1 + rng.Intn(n/4+1)} {
 			for rep := 0; rep < 4; rep++ {
 				for i := 0; i < body; i++ {
 					ops = append(ops, lruOp{addr: uint64(i*g.granule + rng.Intn(g.granule)), target: uint64(i)})
@@ -317,14 +385,15 @@ var lruStreams = map[string]func(g lruGeom, rng *rand.Rand) []lruOp{
 		}
 		return ops
 	},
-	// Strides of one, two and a set's worth of granules (the last two map
-	// every access to one set), wrapping at half and at twice the capacity.
+	// Strides of one, two and a set period's worth of granules (the last
+	// two map every access to one set), wrapping at half and at twice the
+	// capacity.
 	"strides": func(g lruGeom, rng *rand.Rand) []lruOp {
 		var ops []lruOp
-		sets := g.entries / g.ways
-		for _, span := range []int{g.entries / 2, 2 * g.entries} {
+		n, sets := g.lines(), g.period()
+		for _, span := range []int{n / 2, 2 * n} {
 			for _, stride := range []int{1, 2, sets, 3 * sets} {
-				for i := 0; i < 3*g.entries; i++ {
+				for i := 0; i < 3*n; i++ {
 					line := (i * stride) % span
 					ops = append(ops, lruOp{addr: uint64(line * g.granule), target: uint64(rng.Intn(4))})
 				}
@@ -336,7 +405,7 @@ var lruStreams = map[string]func(g lruGeom, rng *rand.Rand) []lruOp{
 	// of the most recent one: LRU misses on every new line.
 	"thrash": func(g lruGeom, rng *rand.Rand) []lruOp {
 		var ops []lruOp
-		sets := g.entries / g.ways
+		sets := g.period()
 		for i := 0; i < 20*(g.ways+1); i++ {
 			line := (i % (g.ways + 1)) * sets
 			ops = append(ops, lruOp{addr: uint64(line * g.granule), target: uint64(i % 3)})
@@ -350,14 +419,15 @@ var lruStreams = map[string]func(g lruGeom, rng *rand.Rand) []lruOp{
 	// now and then a probe, and branch sites that are sometimes retargeted.
 	"random": func(g lruGeom, rng *rand.Rand) []lruOp {
 		var ops []lruOp
-		targets := make([]uint64, 4*g.entries)
+		n := g.lines()
+		targets := make([]uint64, 4*n)
 		for i := range targets {
 			targets[i] = uint64(rng.Intn(1 << 20))
 		}
-		for i := 0; i < 50*g.entries; i++ {
-			line := rng.Intn(4 * g.entries)
+		for i := 0; i < 50*n; i++ {
+			line := rng.Intn(4 * n)
 			if rng.Intn(2) == 0 {
-				line = rng.Intn(g.entries/2 + 1)
+				line = rng.Intn(n/2 + 1)
 			}
 			if rng.Intn(8) == 0 {
 				targets[line] = uint64(rng.Intn(1 << 20))
@@ -372,11 +442,12 @@ var lruStreams = map[string]func(g lruGeom, rng *rand.Rand) []lruOp{
 	},
 }
 
-// TestLRUMatchesReference drives the recency-ordered cache and BTB and
-// the stamp-LRU reference with the same seeded streams, on every
-// geometry, and requires the same observable behaviour after every op.
+// TestLRUMatchesReference drives the recency-ordered cache, blocked L3
+// cache and BTB and the stamp-LRU reference with the same seeded
+// streams, on every geometry, and requires the same observable behaviour
+// after every op.
 func TestLRUMatchesReference(t *testing.T) {
-	for _, g := range lruGeoms {
+	for _, g := range append(slices.Clone(lruGeoms), defaultL3Geom) {
 		for name, stream := range lruStreams {
 			for seed := int64(1); seed <= 3; seed++ {
 				p := newLRUPair(g)
@@ -414,6 +485,43 @@ func FuzzLRUMatchesReference(f *testing.F) {
 			})
 		}
 	})
+}
+
+// TestLRUCorpusGeometry checks that every committed fuzz seed still
+// selects the geometry its file name says (its first byte modulo
+// len(lruGeoms)), and that every geometry has a thrash and a random seed.
+func TestLRUCorpusGeometry(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzLRUMatchesReference")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := map[string]bool{}
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil || data == "" {
+			t.Fatalf("%s: not a one-[]byte fuzz input: %q", f.Name(), lines[len(lines)-1])
+		}
+		g := lruGeoms[int(data[0])%len(lruGeoms)]
+		kind := f.Name()[strings.LastIndexByte(f.Name(), '-')+1:]
+		if want := g.corpus + "-" + kind; f.Name() != want {
+			t.Errorf("%s selects geometry %q, whose seeds are named %s", f.Name(), g.name, want)
+		}
+		seeds[f.Name()] = true
+	}
+	for _, g := range lruGeoms {
+		for _, kind := range []string{"thrash", "random"} {
+			if !seeds[g.corpus+"-"+kind] {
+				t.Errorf("geometry %q has no %s seed %s-%s", g.name, kind, g.corpus, kind)
+			}
+		}
+	}
 }
 
 // refFrontEnd is Core.fetchLine's full path — no warm return — over

@@ -20,6 +20,7 @@ import (
 type fpWriter struct {
 	h       hash.Hash
 	scratch [8]byte
+	buf     []byte // reused by str: a []byte(s) passed to Write escapes
 }
 
 func newFP() *fpWriter { return &fpWriter{h: sha256.New()} }
@@ -31,7 +32,8 @@ func (w *fpWriter) u64(v uint64) {
 
 func (w *fpWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	w.buf = append(w.buf[:0], s...)
+	w.h.Write(w.buf)
 }
 
 func (w *fpWriter) bytes(b []byte) {

@@ -100,6 +100,27 @@ func TestBinaryFingerprintContentAddressed(t *testing.T) {
 	}
 }
 
+// TestBinaryFingerprintAllocs: fingerprinting a binary allocates the
+// same whatever its function count. Every name goes through hash.Hash's
+// Write, where a []byte(name) conversion escapes, so str must copy into
+// a buffer it reuses.
+func TestBinaryFingerprintAllocs(t *testing.T) {
+	allocs := func(funcs int) float64 {
+		prog, _, err := progtest.Generate(progtest.Options{Funcs: funcs, MainIters: 100, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, err := asm.Assemble(prog, asm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { BinaryFingerprint(bin) })
+	}
+	if few, many := allocs(8), allocs(128); many > few {
+		t.Errorf("BinaryFingerprint allocates %.0f times on 128 functions, %.0f on 8", many, few)
+	}
+}
+
 // TestBinaryFingerprintZeroFill: zero-fill is hashed by size, so a
 // section with a zero-fill tail and its twin with the zeros spelled out
 // share a key, while a different total size or a nonzero byte in the

@@ -50,6 +50,16 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# The timing model's warm paths stay inlinable (docs/perf.md): a warm
+# path the inliner rejects costs more than the event it elides, and a
+# new call inside one is the usual way it stops inlining.
+echo "== go build -gcflags=-m ./internal/cpu (warm paths inline)"
+inlined=$(go build -gcflags=-m ./internal/cpu 2>&1 | sed -n 's/.*: can inline //p')
+for fn in '(*Core).Fetch' '(*Core).MemFast' '(*Core).BranchJumpFast' '(*Core).BranchRetFast' \
+    '(*Core).BranchCondNotTakenFast' '(*Core).RetireBulk' '(*Core).Retire' '(*lbrRing).record'; do
+    echo "$inlined" | grep -qxF "$fn" || { echo "$fn no longer inlines (go build -gcflags=-m ./internal/cpu)"; exit 1; }
+done
+
 # The one full pass, under the race detector. It already runs every
 # named gate the docs point at — the tracee-fault/quarantine waves and
 # TestJournalProgramOrder (docs/fleet.md), the exhaustive fault and OSR
