@@ -59,10 +59,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workloads/docdb"
-	"repro/internal/workloads/kvcache"
-	"repro/internal/workloads/sqldb"
-	"repro/internal/workloads/wl"
+	"repro/internal/workloads"
 )
 
 // fleetMeta is the journal meta header: the flag set that rebuilds the
@@ -152,29 +149,8 @@ func main() {
 
 	// Workload construction is the one shared-state step (binaries are
 	// immutable afterwards), so it stays sequential.
-	type spec struct {
-		build func() (*wl.Workload, error)
-		input string
-	}
-	specs := []spec{
-		{func() (*wl.Workload, error) {
-			if *full {
-				return sqldb.Build(sqldb.Full())
-			}
-			return sqldb.Build(sqldb.Small())
-		}, "read_only"},
-		{func() (*wl.Workload, error) {
-			if *full {
-				return docdb.Build(docdb.Full())
-			}
-			return docdb.Build(docdb.Small())
-		}, "read_update"},
-		{func() (*wl.Workload, error) {
-			if *full {
-				return kvcache.Build(kvcache.Full())
-			}
-			return kvcache.Build(kvcache.Small())
-		}, "set10_get90"},
+	specs := []struct{ name, input string }{
+		{"sqldb", "read_only"}, {"docdb", "read_update"}, {"kvcache", "set10_get90"},
 	}
 
 	metrics := telemetry.NewRegistry()
@@ -211,7 +187,7 @@ func main() {
 	}
 
 	for _, sp := range specs {
-		w, err := sp.build()
+		w, err := workloads.Build(sp.name, !*full)
 		if err != nil {
 			log.Fatal(err)
 		}

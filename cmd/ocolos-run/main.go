@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"repro/internal/bolt"
 	"repro/internal/core"
@@ -34,11 +35,12 @@ import (
 	"repro/internal/proc"
 	"repro/internal/replay"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 	"repro/internal/workloads/wl"
 )
 
 func main() {
-	workload := flag.String("workload", "sqldb", "sqldb | docdb | kvcache | rtlsim | loopsim")
+	workload := flag.String("workload", "sqldb", strings.Join(workloads.Names(), " | "))
 	input := flag.String("input", "read_only", "workload input mix")
 	threads := flag.Int("threads", 0, "worker threads (0 = workload default)")
 	profileMS := flag.Float64("profile-ms", 5, "LBR profiling duration per round (simulated ms)")

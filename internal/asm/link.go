@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/obj"
@@ -286,8 +285,3 @@ func SequentialPlacement(frags []*Fragment, base uint64, section string, optimiz
 }
 
 func align(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
-
-// SortPlacements orders placements by address (stable helper for tests).
-func SortPlacements(ps []Placement) {
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Addr < ps[j].Addr })
-}

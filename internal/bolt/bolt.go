@@ -3,7 +3,6 @@ package bolt
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/asm"
 	"repro/internal/obj"
@@ -297,15 +296,4 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 	}
 	res.Binary = out
 	return res, nil
-}
-
-// MovedFunctions lists original→new entry pairs sorted by original
-// address (for reports and the OCOLOS patcher).
-func MovedFunctions(addrMap map[uint64]uint64) [][2]uint64 {
-	out := make([][2]uint64, 0, len(addrMap))
-	for o, n := range addrMap {
-		out = append(out, [2]uint64{o, n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

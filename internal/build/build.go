@@ -96,9 +96,6 @@ func (p *ProgramBuilder) SetEntry(name string) { p.entry = name }
 // binary is marked jump-table-free so the OCOLOS controller accepts it.
 func (p *ProgramBuilder) SetNoJumpTables(v bool) { p.noJT = v }
 
-// NoJumpTables reports the current jump-table policy.
-func (p *ProgramBuilder) NoJumpTables() bool { return p.noJT }
-
 // Program lowers every function into the asm IR. It may be called more
 // than once; the builder is not consumed.
 func (p *ProgramBuilder) Program() (*asm.Program, error) {
@@ -139,22 +136,4 @@ func (p *ProgramBuilder) Assemble(opts asm.Options) (*obj.Binary, error) {
 		return nil, err
 	}
 	return asm.Assemble(prog, opts)
-}
-
-// Build assembles the program and packages it with its symbol table as a
-// Result, ready to attach to a machine (see Result).
-func (p *ProgramBuilder) Build(opts asm.Options) (*Result, error) {
-	prog, err := p.Program()
-	if err != nil {
-		return nil, err
-	}
-	bin, err := asm.Assemble(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Prog:   prog,
-		Binary: bin,
-		Syms:   asm.DataSymbols(prog, opts),
-	}, nil
 }

@@ -12,27 +12,52 @@ import (
 	"repro/internal/proc"
 )
 
-// procMachine adapts proc.Process to build.Machine for the run helpers.
-type procMachine struct{ p *proc.Process }
+// built is an assembled test program and the addresses of its globals.
+type built struct {
+	Binary *obj.Binary
+	Syms   map[string]uint64
+}
 
-func (m procMachine) RunUntilHalt(maxInst uint64) uint64 { return m.p.RunUntilHalt(maxInst) }
-func (m procMachine) RunFor(seconds float64)             { m.p.RunFor(seconds) }
-func (m procMachine) Seconds() float64                   { return m.p.Seconds() }
-func (m procMachine) Fault() error                       { return m.p.Fault() }
-func (m procMachine) ReadWord(addr uint64) uint64        { return m.p.Mem.ReadWord(addr) }
+func assemble(t *testing.T, p *build.ProgramBuilder) built {
+	t.Helper()
+	prog, err := p.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := asm.Assemble(prog, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built{bin, asm.DataSymbols(prog, asm.Options{})}
+}
 
-func run(t *testing.T, r *build.Result) *build.Result {
+// ran is a built program run to its halt in a fresh process.
+type ran struct {
+	built
+	p *proc.Process
+}
+
+func run(t *testing.T, r built) ran {
 	t.Helper()
 	p, err := proc.Load(r.Binary, proc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Attach(procMachine{p})
-	r.RunUntilHalt(0)
-	if err := r.Fault(); err != nil {
+	p.RunUntilHalt(0)
+	if err := p.Fault(); err != nil {
 		t.Fatalf("%s faulted: %v", r.Binary.Name, err)
 	}
-	return r
+	return ran{r, p}
+}
+
+// mem reads the word at the named global.
+func (r ran) mem(t *testing.T, sym string) uint64 {
+	t.Helper()
+	addr, ok := r.Syms[sym]
+	if !ok {
+		t.Fatalf("unknown data symbol %q in %s", sym, r.Binary.Name)
+	}
+	return r.p.Mem.ReadWord(addr)
 }
 
 func TestStructuredControlFlow(t *testing.T) {
@@ -64,12 +89,8 @@ func TestStructuredControlFlow(t *testing.T) {
 	m.Halt()
 	p.SetEntry("main")
 
-	r, err := p.Build(asm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(t, r)
-	if got := r.Mem("out"); got != 45+100+1000 {
+	r := assemble(t, p)
+	if got := run(t, r).mem(t, "out"); got != 45+100+1000 {
 		t.Errorf("out = %d, want %d", got, 45+100+1000)
 	}
 }
@@ -107,10 +128,7 @@ func TestSwitchBothLowerings(t *testing.T) {
 				{0, 0}, {2, 22}, {3, 33}, {9, 999}, {-1, 999},
 			} {
 				p := switchProgram("sw", jt, c.idx)
-				r, err := p.Build(asm.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := assemble(t, p)
 				if jt && len(r.Binary.JumpTables) != 1 {
 					t.Fatalf("jump-table mode emitted %d tables, want 1", len(r.Binary.JumpTables))
 				}
@@ -120,8 +138,7 @@ func TestSwitchBothLowerings(t *testing.T) {
 				if !jt != r.Binary.NoJumpTables {
 					t.Fatal("binary jump-table flag does not match builder policy")
 				}
-				run(t, r)
-				if got := r.Mem("out"); got != uint64(c.want) {
+				if got := run(t, r).mem(t, "out"); got != uint64(c.want) {
 					t.Errorf("idx %d: out = %d, want %d", c.idx, got, c.want)
 				}
 			}
@@ -189,10 +206,7 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	img := func() []byte {
-		r, err := switchProgram("det", true, 1).Build(asm.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := assemble(t, switchProgram("det", true, 1))
 		var buf bytes.Buffer
 		for _, s := range r.Binary.Sections {
 			buf.WriteString(s.Name)
@@ -228,12 +242,9 @@ func TestVTableAndSyms(t *testing.T) {
 	m.Halt()
 	p.SetEntry("main")
 
-	r, err := p.Build(asm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Addr("vt0") == 0 || r.Addr("out") == 0 || r.Addr("nosuch") != 0 {
-		t.Fatalf("symbol table wrong: vt0=%#x out=%#x", r.Addr("vt0"), r.Addr("out"))
+	r := assemble(t, p)
+	if r.Syms["vt0"] == 0 || r.Syms["out"] == 0 || r.Syms["nosuch"] != 0 {
+		t.Fatalf("symbol table wrong: vt0=%#x out=%#x", r.Syms["vt0"], r.Syms["out"])
 	}
 	var vt *obj.VTable
 	for _, v := range r.Binary.VTables {
@@ -244,26 +255,7 @@ func TestVTableAndSyms(t *testing.T) {
 	if vt == nil || len(vt.Slots) != 2 {
 		t.Fatal("v-table missing from binary")
 	}
-	run(t, r)
-	if got := r.Mem("out"); got != 2222 {
+	if got := run(t, r).mem(t, "out"); got != 2222 {
 		t.Errorf("virtual call through slot 1 returned %d, want 2222", got)
 	}
-}
-
-func TestMemPanics(t *testing.T) {
-	r, err := switchProgram("p", false, 0).Build(asm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("unattached machine", func() { r.RunUntilHalt(0) })
-	run(t, r)
-	expectPanic("unknown symbol", func() { r.Mem("nosuch") })
 }

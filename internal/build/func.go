@@ -30,9 +30,6 @@ type FuncBuilder struct {
 	jts    []asm.SrcJT
 }
 
-// Name returns the function's name.
-func (f *FuncBuilder) Name() string { return f.name }
-
 // autoLabel mints a fresh compiler-internal label. User labels never
 // start with a dot, so the namespaces cannot collide.
 func (f *FuncBuilder) autoLabel(kind string) string {
@@ -122,21 +119,15 @@ func (f *FuncBuilder) Mov(rd, rs uint8) { f.emit(inst(isa.MOV, rd, rs, 0, 0)) }
 
 // Register-register ALU ops.
 func (f *FuncBuilder) Add(rd, rs1, rs2 uint8) { f.emit(inst(isa.ADD, rd, rs1, rs2, 0)) }
-func (f *FuncBuilder) Sub(rd, rs1, rs2 uint8) { f.emit(inst(isa.SUB, rd, rs1, rs2, 0)) }
 func (f *FuncBuilder) Mul(rd, rs1, rs2 uint8) { f.emit(inst(isa.MUL, rd, rs1, rs2, 0)) }
 func (f *FuncBuilder) Div(rd, rs1, rs2 uint8) { f.emit(inst(isa.DIV, rd, rs1, rs2, 0)) }
 func (f *FuncBuilder) Mod(rd, rs1, rs2 uint8) { f.emit(inst(isa.MOD, rd, rs1, rs2, 0)) }
-func (f *FuncBuilder) And(rd, rs1, rs2 uint8) { f.emit(inst(isa.AND, rd, rs1, rs2, 0)) }
-func (f *FuncBuilder) Or(rd, rs1, rs2 uint8)  { f.emit(inst(isa.OR, rd, rs1, rs2, 0)) }
 func (f *FuncBuilder) Xor(rd, rs1, rs2 uint8) { f.emit(inst(isa.XOR, rd, rs1, rs2, 0)) }
-func (f *FuncBuilder) Shl(rd, rs1, rs2 uint8) { f.emit(inst(isa.SHL, rd, rs1, rs2, 0)) }
-func (f *FuncBuilder) Shr(rd, rs1, rs2 uint8) { f.emit(inst(isa.SHR, rd, rs1, rs2, 0)) }
 
 // Register-immediate ALU ops.
 func (f *FuncBuilder) AddI(rd, rs uint8, imm int64) { f.emit(inst(isa.ADDI, rd, rs, 0, imm)) }
 func (f *FuncBuilder) MulI(rd, rs uint8, imm int64) { f.emit(inst(isa.MULI, rd, rs, 0, imm)) }
 func (f *FuncBuilder) AndI(rd, rs uint8, imm int64) { f.emit(inst(isa.ANDI, rd, rs, 0, imm)) }
-func (f *FuncBuilder) OrI(rd, rs uint8, imm int64)  { f.emit(inst(isa.ORI, rd, rs, 0, imm)) }
 func (f *FuncBuilder) XorI(rd, rs uint8, imm int64) { f.emit(inst(isa.XORI, rd, rs, 0, imm)) }
 func (f *FuncBuilder) ShlI(rd, rs uint8, imm int64) { f.emit(inst(isa.SHLI, rd, rs, 0, imm)) }
 func (f *FuncBuilder) ShrI(rd, rs uint8, imm int64) { f.emit(inst(isa.SHRI, rd, rs, 0, imm)) }
@@ -147,21 +138,11 @@ func (f *FuncBuilder) Ld(rd, base uint8, off int64) { f.emit(inst(isa.LD, rd, ba
 // St stores src at [base+off].
 func (f *FuncBuilder) St(base uint8, off int64, src uint8) { f.emit(inst(isa.ST, 0, base, src, off)) }
 
-// LdB loads the zero-extended byte at [base+off] into rd.
-func (f *FuncBuilder) LdB(rd, base uint8, off int64) { f.emit(inst(isa.LDB, rd, base, 0, off)) }
-
-// StB stores the low byte of src at [base+off].
-func (f *FuncBuilder) StB(base uint8, off int64, src uint8) { f.emit(inst(isa.STB, 0, base, src, off)) }
-
 // Cmp records rs1-rs2 in the flags for a following conditional.
 func (f *FuncBuilder) Cmp(rs1, rs2 uint8) { f.emit(inst(isa.CMP, 0, rs1, rs2, 0)) }
 
 // CmpI records rs1-imm in the flags for a following conditional.
 func (f *FuncBuilder) CmpI(rs1 uint8, imm int64) { f.emit(inst(isa.CMPI, 0, rs1, 0, imm)) }
-
-// Push pushes rs on the stack; Pop pops into rd.
-func (f *FuncBuilder) Push(rs uint8) { f.emit(inst(isa.PUSH, 0, rs, 0, 0)) }
-func (f *FuncBuilder) Pop(rd uint8)  { f.emit(inst(isa.POP, rd, 0, 0, 0)) }
 
 // Sys invokes the process syscall handler with the given call number.
 func (f *FuncBuilder) Sys(num int64) { f.emit(inst(isa.SYS, 0, 0, 0, num)) }

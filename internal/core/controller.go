@@ -399,10 +399,6 @@ func (c *Controller) ShouldOptimize(seconds float64) (bool, cpu.TopDown) {
 // and return to pull profiling.
 func (c *Controller) AttachProfileSource(src profile.Source) { c.src = src }
 
-// ProfileSource returns the attached streaming source (nil when the
-// controller profiles by pulling).
-func (c *Controller) ProfileSource() profile.Source { return c.src }
-
 // Profile produces the round's LBR profile (step 1 of Figure 4a): the
 // trailing window of the attached streaming source when one is attached
 // and has samples, else a one-shot pull of the given simulated duration

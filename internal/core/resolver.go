@@ -51,36 +51,6 @@ func (r *resolver) at(addr uint64) (span, bool) {
 	return s, true
 }
 
-// funcName resolves addr to the canonical name of the function whose code
-// contains it.
-func (r *resolver) funcName(addr uint64) (string, bool) {
-	s, ok := r.at(addr)
-	return s.name, ok
-}
-
-// spansOf returns every span belonging to the given function instance
-// version (hot, cold, copies).
-func (r *resolver) spansOf(name string, version int) []span {
-	var out []span
-	for _, s := range r.spans {
-		if s.name == name && s.version == version {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// dropVersion removes all spans of the given version (after GC).
-func (r *resolver) dropVersion(version int) {
-	out := r.spans[:0]
-	for _, s := range r.spans {
-		if s.version != version {
-			out = append(out, s)
-		}
-	}
-	r.spans = out
-}
-
 // versionSpans returns all spans of a version.
 func (r *resolver) versionSpans(version int) []span {
 	var out []span

@@ -26,28 +26,12 @@ func TestResolverLookup(t *testing.T) {
 	if _, ok := r.at(0x300000); ok {
 		t.Error("hole resolved")
 	}
-	if name, ok := r.funcName(0x20000000); !ok || name != "f" {
-		t.Error("funcName failed")
-	}
 }
 
-func TestResolverSpansOfAndVersions(t *testing.T) {
+func TestResolverVersionSpans(t *testing.T) {
 	r := testResolver()
-	if got := len(r.spansOf("f", 1)); got != 2 {
-		t.Errorf("spansOf(f,1) = %d spans, want 2 (hot+cold)", got)
-	}
-	if got := len(r.spansOf("f", 0)); got != 1 {
-		t.Errorf("spansOf(f,0) = %d spans, want 1", got)
-	}
 	if got := len(r.versionSpans(1)); got != 2 {
-		t.Errorf("versionSpans(1) = %d", got)
-	}
-	r.dropVersion(1)
-	if got := len(r.versionSpans(1)); got != 0 {
-		t.Error("dropVersion left spans behind")
-	}
-	if _, ok := r.at(0x400150); !ok {
-		t.Error("dropVersion removed version-0 spans")
+		t.Errorf("versionSpans(1) = %d spans, want 2 (hot+cold)", got)
 	}
 }
 

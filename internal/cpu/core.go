@@ -122,9 +122,6 @@ func log2up(n int) uint {
 	return s
 }
 
-// Config returns the core's configuration.
-func (c *Core) Config() *Config { return c.cfg }
-
 // Cycles returns the core's elapsed cycle count, derived from the
 // integer event counters and the stall accumulators. The summation order
 // is fixed (and mirrored by StatsSnapshot) so the result does not depend
@@ -137,9 +134,6 @@ func (c *Core) Cycles() float64 {
 
 // Seconds returns the core's elapsed simulated time.
 func (c *Core) Seconds() float64 { return c.Cycles() / c.cfg.ClockHz }
-
-// LBRSnapshot returns the LBR ring oldest-first (what a perf PMI reads).
-func (c *Core) LBRSnapshot() []BranchRecord { return c.lbr.Snapshot() }
 
 // LBRDrain returns the ring contents oldest-first and clears the ring, the
 // way a PMI handler consumes it: the next drain only sees branches retired
@@ -357,6 +351,3 @@ func (c *Core) Mem(addr uint64, store bool) {
 	}
 	c.stallBE += stall
 }
-
-// DRAMUtilization exposes the bandwidth model state (for diagnostics).
-func (c *Core) DRAMUtilization() float64 { return c.dram.Utilization() }

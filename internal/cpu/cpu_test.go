@@ -543,3 +543,18 @@ func TestSharedL3AllocatesOnTouch(t *testing.T) {
 		t.Fatalf("a sweep of 2^15 lines touched %d blocks, want all 32 reachable", len(want))
 	}
 }
+
+// Config returns the core's configuration.
+func (c *Core) Config() *Config { return c.cfg }
+
+// LBRSnapshot returns the LBR ring oldest-first (what a perf PMI reads).
+func (c *Core) LBRSnapshot() []BranchRecord { return c.lbr.Snapshot() }
+
+// Utilization returns the current estimated DRAM utilization in [0,1).
+func (d *dramModel) Utilization() float64 {
+	u := d.rateEMA / d.peakPerCycle
+	if u > 0.95 {
+		u = 0.95
+	}
+	return u
+}

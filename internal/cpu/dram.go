@@ -46,12 +46,3 @@ func (d *dramModel) latency(base float64, nowCycles float64) float64 {
 	}
 	return base / (1 - util)
 }
-
-// Utilization returns the current estimated DRAM utilization in [0,1).
-func (d *dramModel) Utilization() float64 {
-	u := d.rateEMA / d.peakPerCycle
-	if u > 0.95 {
-		u = 0.95
-	}
-	return u
-}

@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/bolt"
-	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/obj"
@@ -59,28 +58,6 @@ type Trace struct {
 	Halted  bool
 	Fault   error
 	Version int // optimized-code version at exit (0 for static runs)
-}
-
-// machine adapts a proc.Process to build.Machine (build cannot import
-// proc: proc's own tests build programs with the build package).
-type machine struct{ p *proc.Process }
-
-func (m machine) RunUntilHalt(maxInst uint64) uint64 { return m.p.RunUntilHalt(maxInst) }
-func (m machine) RunFor(seconds float64)             { m.p.RunFor(seconds) }
-func (m machine) Seconds() float64                   { return m.p.Seconds() }
-func (m machine) Fault() error                       { return m.p.Fault() }
-func (m machine) ReadWord(addr uint64) uint64        { return m.p.Mem.ReadWord(addr) }
-
-// Attach loads a built program into a fresh single-threaded process and
-// attaches it to the result, the one-liner tests use to run a builder
-// program and inspect its globals.
-func Attach(r *build.Result, opts proc.Options) (*proc.Process, error) {
-	p, err := proc.Load(r.Binary, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.Attach(machine{p})
-	return p, nil
 }
 
 // fnvOffset/fnvPrime are the FNV-1a 64-bit parameters.
@@ -360,9 +337,6 @@ func Baseline(t Target) (*Trace, error) { return runStatic(t, false, Hooks{}) }
 // Bolted profiles the target, builds the BOLT-reordered binary offline,
 // and runs that layout from the start.
 func Bolted(t Target) (*Trace, error) { return runStatic(t, true, Hooks{}) }
-
-// BoltedWith is Bolted with sabotage hooks, for the negative tests.
-func BoltedWith(t Target, hooks Hooks) (*Trace, error) { return runStatic(t, true, hooks) }
 
 func runStatic(t Target, bolted bool, hooks Hooks) (*Trace, error) {
 	w, d, err := t.load()

@@ -1,16 +1,6 @@
 package diffcheck
 
-import (
-	"fmt"
-
-	"repro/internal/workloads/compilersim"
-	"repro/internal/workloads/docdb"
-	"repro/internal/workloads/kvcache"
-	"repro/internal/workloads/loopsim"
-	"repro/internal/workloads/rtlsim"
-	"repro/internal/workloads/sqldb"
-	"repro/internal/workloads/wl"
-)
+import "repro/internal/workloads/wl"
 
 // Target names one workload/input pair the harness can check. Server
 // workloads get a request cap so the run is finite; batch workloads
@@ -43,58 +33,4 @@ func (t Target) load() (*wl.Workload, *wl.Driver, error) {
 		d.SetGenerator(CapRequests(d.Generator(), t.Requests))
 	}
 	return w, d, nil
-}
-
-// Targets returns one diffcheck target per workload package, at the
-// small (test) scale. Every package under internal/workloads that ships
-// a guest program appears here — keeping this list complete is part of
-// adding a workload (see docs/testing.md).
-func Targets() []Target {
-	return []Target{
-		{
-			Name:     "kvcache",
-			Input:    "set10_get90",
-			Requests: 600,
-			Build:    func() (*wl.Workload, error) { return kvcache.Build(kvcache.Small()) },
-		},
-		{
-			Name:     "sqldb",
-			Input:    sqldb.Inputs()[0],
-			Requests: 250,
-			Build:    func() (*wl.Workload, error) { return sqldb.Build(sqldb.Small()) },
-		},
-		{
-			Name:     "docdb",
-			Input:    "read95_insert5",
-			Requests: 300,
-			Build:    func() (*wl.Workload, error) { return docdb.Build(docdb.Small()) },
-		},
-		{
-			Name:     "rtlsim",
-			Input:    "dhrystone",
-			Requests: 400,
-			Build:    func() (*wl.Workload, error) { return rtlsim.Build(rtlsim.Small()) },
-		},
-		{
-			Name:     "loopsim",
-			Input:    "steady",
-			Requests: 150,
-			Build:    func() (*wl.Workload, error) { return loopsim.Build(loopsim.Small()) },
-		},
-		{
-			Name:  "compilersim",
-			Input: "tu:3", // batch: one translation unit, natural halt
-			Build: func() (*wl.Workload, error) { return compilersim.Build(compilersim.Small()) },
-		},
-	}
-}
-
-// TargetByName finds a target in Targets.
-func TargetByName(name string) (Target, error) {
-	for _, t := range Targets() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return Target{}, fmt.Errorf("diffcheck: no target %q", name)
 }

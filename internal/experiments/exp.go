@@ -17,12 +17,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/pgo"
 	"repro/internal/proc"
-	"repro/internal/workloads/compilersim"
-	"repro/internal/workloads/docdb"
-	"repro/internal/workloads/kvcache"
-	"repro/internal/workloads/loopsim"
-	"repro/internal/workloads/rtlsim"
-	"repro/internal/workloads/sqldb"
+	"repro/internal/workloads"
 	"repro/internal/workloads/wl"
 )
 
@@ -83,24 +78,7 @@ func Workload(name string) (*wl.Workload, error) {
 	if w, ok := buildCache[name]; ok {
 		return w, nil
 	}
-	var w *wl.Workload
-	var err error
-	switch name {
-	case "sqldb":
-		w, err = sqldb.Build(sqldb.Full())
-	case "docdb":
-		w, err = docdb.Build(docdb.Full())
-	case "kvcache":
-		w, err = kvcache.Build(kvcache.Full())
-	case "rtlsim":
-		w, err = rtlsim.Build(rtlsim.Full())
-	case "loopsim":
-		w, err = loopsim.Build(loopsim.Full())
-	case "compilersim":
-		w, err = compilersim.Build(compilersim.Full())
-	default:
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
-	}
+	w, err := workloads.Build(name, false)
 	if err != nil {
 		return nil, err
 	}

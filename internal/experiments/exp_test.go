@@ -108,3 +108,17 @@ func TestCSVWriters(t *testing.T) {
 		t.Errorf("fig9 csv content: %s", b)
 	}
 }
+
+// TestFig5Summary pins the summary line's arithmetic on fixture rows:
+// both leads are differences of means, in points of the original
+// binary's throughput.
+func TestFig5Summary(t *testing.T) {
+	rows := []Fig5Row{
+		{OCOLOS: 1.5, BoltOr: 1.6, BoltAvg: 1.2},
+		{OCOLOS: 1.1, BoltOr: 1.2, BoltAvg: 1.0},
+	}
+	want := "means: OCOLOS 1.300x, BOLT-oracle 1.400x (gap 10.0 points); OCOLOS vs BOLT-avg +20.0 points"
+	if got := fig5Summary(rows); got != want {
+		t.Errorf("fig5Summary =\n%s\nwant\n%s", got, want)
+	}
+}

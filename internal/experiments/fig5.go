@@ -1,6 +1,10 @@
 package experiments
 
-import "repro/internal/core"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Fig5Row is one benchmark/input row of the headline figure.
 type Fig5Row struct {
@@ -31,25 +35,28 @@ func Fig5(cfg Config) error {
 	cfg.printf("Figure 5: normalized throughput (1.00 = original binary)\n")
 	cfg.printf("%-9s %-17s %12s %8s %9s %8s %9s\n",
 		"bench", "input", "orig req/s", "OCOLOS", "BOLT-or", "PGO-or", "BOLT-avg")
-	var sumO, sumB float64
 	for _, r := range rows {
 		cfg.printf("%-9s %-17s %12.0f %7.2fx %8.2fx %7.2fx %8.2fx\n",
 			r.Workload, r.Input, r.Original, r.OCOLOS, r.BoltOr, r.PGOOr, r.BoltAvg)
-		sumO += r.OCOLOS
-		sumB += r.BoltOr
 	}
-	n := float64(len(rows))
-	cfg.printf("means: OCOLOS %.3fx, BOLT-oracle %.3fx (gap %.1f points); OCOLOS vs BOLT-avg %+.1f points\n",
-		sumO/n, sumB/n, 100*(sumB-sumO)/n, 100*(sumO-avgOf(rows))/n)
+	cfg.printf("%s\n", fig5Summary(rows))
 	return nil
 }
 
-func avgOf(rows []Fig5Row) float64 {
-	var s float64
+// fig5Summary is the figure's closing line: the mean normalized
+// throughput of OCOLOS and of oracle BOLT, the oracle's lead over OCOLOS,
+// and OCOLOS's lead over average-case BOLT, both in percentage points of
+// the original binary's throughput.
+func fig5Summary(rows []Fig5Row) string {
+	var sumO, sumB, sumA float64
 	for _, r := range rows {
-		s += r.BoltAvg
+		sumO += r.OCOLOS
+		sumB += r.BoltOr
+		sumA += r.BoltAvg
 	}
-	return s / float64(len(rows))
+	n := float64(len(rows))
+	return fmt.Sprintf("means: OCOLOS %.3fx, BOLT-oracle %.3fx (gap %.1f points); OCOLOS vs BOLT-avg %+.1f points",
+		sumO/n, sumB/n, 100*(sumB-sumO)/n, 100*(sumO/n-sumA/n))
 }
 
 // fig5Rows computes the figure's data.

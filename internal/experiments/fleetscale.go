@@ -7,9 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/telemetry"
-	"repro/internal/workloads/docdb"
-	"repro/internal/workloads/kvcache"
-	"repro/internal/workloads/sqldb"
+	"repro/internal/workloads"
 	"repro/internal/workloads/wl"
 )
 
@@ -25,23 +23,14 @@ import (
 func FleetScale(cfg Config) error {
 	cfg.defaults()
 
-	type svcSpec struct {
-		build func() (*wl.Workload, error)
-		input string
+	specs := []struct{ name, input string }{
+		{"sqldb", "read_only"}, {"docdb", "read_update"}, {"kvcache", "set10_get90"},
 	}
-	specs := []svcSpec{
-		{func() (*wl.Workload, error) { return Workload("sqldb") }, "read_only"},
-		{func() (*wl.Workload, error) { return Workload("docdb") }, "read_update"},
-		{func() (*wl.Workload, error) { return Workload("kvcache") }, "set10_get90"},
-	}
+	build := Workload
 	if cfg.Quick {
 		// Quick mode swaps in small-scale builds so the bench variant of
 		// this experiment stays in the seconds range.
-		specs = []svcSpec{
-			{func() (*wl.Workload, error) { return sqldb.Build(sqldb.Small()) }, "read_only"},
-			{func() (*wl.Workload, error) { return docdb.Build(docdb.Small()) }, "read_update"},
-			{func() (*wl.Workload, error) { return kvcache.Build(kvcache.Small()) }, "set10_get90"},
-		}
+		build = func(name string) (*wl.Workload, error) { return workloads.Build(name, true) }
 	}
 
 	metrics := telemetry.NewRegistry()
@@ -73,7 +62,7 @@ func FleetScale(cfg Config) error {
 
 	const replicas = 2
 	for _, sp := range specs {
-		w, err := sp.build()
+		w, err := build(sp.name)
 		if err != nil {
 			return err
 		}

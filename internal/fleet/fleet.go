@@ -427,12 +427,6 @@ func (s *Service) setRoot(sp *trace.Span) {
 	s.Ctl.SetTraceRoot(sp)
 }
 
-// Measure measures the service's current throughput over the scan
-// window.
-func (s *Service) Measure(opts ScanOptions) float64 {
-	return wl.Measure(s.Proc, s.Driver, opts.Window)
-}
-
 // ProfileStore returns the service's streaming sample store (nil when
 // drift ingestion is disabled).
 func (s *Service) ProfileStore() *profile.Store { return s.store }
@@ -546,9 +540,6 @@ func (m *Manager) shardIndex(name string) int {
 	h.Write([]byte(name))
 	return int(h.Sum32() % uint32(len(m.shards)))
 }
-
-// LayoutCache returns the fleet-wide layout cache (nil when disabled).
-func (m *Manager) LayoutCache() layout.Cache { return m.cache }
 
 // CacheStats snapshots the layout-cache counters; ok is false when the
 // cache is disabled.

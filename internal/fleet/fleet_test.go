@@ -8,6 +8,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/workloads/kvcache"
 	"repro/internal/workloads/sqldb"
+	"repro/internal/workloads/wl"
 )
 
 func TestFleetScanAndOptimize(t *testing.T) {
@@ -104,7 +105,7 @@ func TestFleetRevertSafetyNet(t *testing.T) {
 	if rep.Baseline <= 0 {
 		t.Fatalf("no baseline recorded: %+v", rep)
 	}
-	if ratio := s.Measure(ScanOptions{Window: 0.003}) / rep.Baseline; ratio < 0.85 || ratio > 1.15 {
+	if ratio := wl.Measure(s.Proc, s.Driver, 0.003) / rep.Baseline; ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("reverted service at %.2fx of baseline; want ≈1.0", ratio)
 	}
 }

@@ -238,9 +238,6 @@ func (in Inst) IsCtrl() bool {
 	return false
 }
 
-// IsCall reports whether the instruction is any call flavour.
-func (in Inst) IsCall() bool { return in.Op == CALL || in.Op == CALLR }
-
 // Terminates reports whether control never falls through to the next
 // instruction (used by CFG reconstruction).
 func (in Inst) Terminates() bool {

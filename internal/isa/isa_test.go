@@ -108,12 +108,6 @@ func TestConds(t *testing.T) {
 }
 
 func TestClassifiers(t *testing.T) {
-	if !(Inst{Op: CALL}).IsCall() || !(Inst{Op: CALLR}).IsCall() {
-		t.Error("CALL/CALLR should be calls")
-	}
-	if (Inst{Op: JMP}).IsCall() {
-		t.Error("JMP is not a call")
-	}
 	for _, op := range []Op{JMP, RET, JTBL, HALT} {
 		if !(Inst{Op: op}).Terminates() {
 			t.Errorf("%v should terminate a block", op)

@@ -70,14 +70,6 @@ type Func struct {
 	Optimized bool
 }
 
-// Contains reports whether addr is inside the function's hot or cold range.
-func (f *Func) Contains(addr uint64) bool {
-	if addr >= f.Addr && addr < f.Addr+f.Size {
-		return true
-	}
-	return f.ColdSize > 0 && addr >= f.ColdAddr && addr < f.ColdAddr+f.ColdSize
-}
-
 // OrgRange records an address range a function occupied before it was
 // moved by an optimizer.
 type OrgRange struct {

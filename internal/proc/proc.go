@@ -423,9 +423,6 @@ func (p *Process) coveredUntil(addr uint64) (uint64, bool) {
 // and each creation site pays funcPtrHookCost cycles.
 func (p *Process) SetFuncPtrHook(fn func(uint64) uint64) { p.fptrHook = fn }
 
-// FuncPtrHook returns the installed hook (nil if none).
-func (p *Process) FuncPtrHook() func(uint64) uint64 { return p.fptrHook }
-
 // Alloc bump-allocates n bytes of heap, 16-byte aligned.
 func (p *Process) Alloc(n uint64) uint64 {
 	addr := (p.heapCursor + 15) &^ 15

@@ -47,18 +47,6 @@ func (t *Thread) SetReg(i uint8, v uint64) {
 	}
 }
 
-// Mem gives syscall handlers access to process memory.
-func (t *Thread) Mem() *memAccess { return &memAccess{t.proc} }
-
-// memAccess is a narrow facade over the address space for handlers; the
-// methods mirror mem.AddressSpace.
-type memAccess struct{ p *Process }
-
-func (m *memAccess) ReadWord(addr uint64) uint64     { return m.p.Mem.ReadWord(addr) }
-func (m *memAccess) WriteWord(addr uint64, v uint64) { m.p.Mem.WriteWord(addr, v) }
-func (m *memAccess) Read(addr uint64, b []byte)      { m.p.Mem.Read(addr, b) }
-func (m *memAccess) Write(addr uint64, b []byte)     { m.p.Mem.Write(addr, b) }
-
 // String summarizes the thread state.
 func (t *Thread) String() string {
 	return fmt.Sprintf("thread %d: PC=%#x SP=%#x halted=%v", t.ID, t.PC, t.Regs[isa.SP], t.Halted)

@@ -113,14 +113,6 @@ func (t *Tracker) Clear() {
 	t.mu.Unlock()
 }
 
-// MarkSteady records the instant the service (re-)entered Steady; the
-// dwell guard counts from here.
-func (t *Tracker) MarkSteady(now float64) {
-	t.mu.Lock()
-	t.steadyAt = now
-	t.mu.Unlock()
-}
-
 // MarkReopt records the instant a drift-triggered re-optimization
 // started; the cooldown guard counts from here.
 func (t *Tracker) MarkReopt(now float64) {

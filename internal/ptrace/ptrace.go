@@ -60,9 +60,6 @@ func (t *Tracee) Detach() {
 	}
 }
 
-// Attached reports whether the tracee is still stopped.
-func (t *Tracee) Attached() bool { return t.attached }
-
 // OpCount returns how many operations this tracee has begun (including
 // ones failed by the hook or an unmapped address).
 func (t *Tracee) OpCount() int { return t.opCount }
@@ -212,8 +209,3 @@ func (t *Tracee) Unmap(addr, size uint64) error {
 	t.p.Mem.Unmap(addr, size)
 	return nil
 }
-
-// Process exposes the underlying process for facilities that are part of
-// the agent rather than the debugger proper (installing the
-// function-pointer hook, unmapping dead code).
-func (t *Tracee) Process() *proc.Process { return t.p }

@@ -58,9 +58,6 @@ func Begin(tr *Tracee) *Txn {
 	return &Txn{tr: tr}
 }
 
-// Writes returns the number of journaled mutations.
-func (x *Txn) Writes() int { return len(x.undos) }
-
 // ---- read-only passthroughs -------------------------------------------
 
 // GetRegs reads thread tid's registers.
@@ -74,12 +71,6 @@ func (x *Txn) ReadMem(addr uint64, b []byte) error { return x.tr.ReadMem(addr, b
 
 // Threads returns the tracee's thread count.
 func (x *Txn) Threads() int { return x.tr.Threads() }
-
-// Process exposes the underlying process.
-func (x *Txn) Process() *proc.Process { return x.tr.Process() }
-
-// Tracee returns the wrapped tracee.
-func (x *Txn) Tracee() *Tracee { return x.tr }
 
 // ---- journaled mutations ----------------------------------------------
 

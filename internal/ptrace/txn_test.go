@@ -21,7 +21,7 @@ type fingerprint struct {
 
 func snapshotTarget(t *testing.T, tr *Tracee) fingerprint {
 	t.Helper()
-	p := tr.Process()
+	p := tr.p
 	fp := fingerprint{
 		ranges:   p.Mem.MappedRanges(),
 		contents: make(map[uint64][]byte),
@@ -126,8 +126,8 @@ func TestTxnRollbackRestoresEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if x.Writes() != 7 {
-		t.Errorf("journal holds %d records, want 7", x.Writes())
+	if len(x.undos) != 7 {
+		t.Errorf("journal holds %d records, want 7", len(x.undos))
 	}
 	if err := x.Rollback(); err != nil {
 		t.Fatal(err)
@@ -182,8 +182,8 @@ func TestTxnFaultMidStreamRollsBackCleanly(t *testing.T) {
 	if err := x.PokeData(pr.Bin.Entry, 1); !errors.Is(err, boom) {
 		t.Fatalf("hook did not fail the poke: %v", err)
 	}
-	if x.Writes() != 2 {
-		t.Errorf("failed op was journaled: %d records", x.Writes())
+	if len(x.undos) != 2 {
+		t.Errorf("failed op was journaled: %d records", len(x.undos))
 	}
 	if err := x.Rollback(); err != nil {
 		t.Fatal(err)

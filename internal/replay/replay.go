@@ -89,13 +89,6 @@ type RecordedFault struct{ Msg string }
 
 func (e *RecordedFault) Error() string { return e.Msg }
 
-// IsRecordedFault reports whether err carries a journal-fed fault
-// decision (the replay analog of a test's injected-fault sentinel).
-func IsRecordedFault(err error) bool {
-	var rf *RecordedFault
-	return errors.As(err, &rf)
-}
-
 // Session records or replays one optimization session's nondeterminism.
 // A nil *Session (or ModeOff) passes every decision through live. All
 // methods are safe for concurrent use, but meaningful replay requires
@@ -170,16 +163,6 @@ func (s *Session) Recording() bool { return s.Mode() == ModeRecord }
 
 // Replaying reports replay mode.
 func (s *Session) Replaying() bool { return s.Mode() == ModeReplay }
-
-// Err returns the first divergence the session hit (nil while faithful).
-func (s *Session) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
 
 // Journal returns the session's output journal: the recording in record
 // mode, the re-recording in replay mode.

@@ -33,7 +33,7 @@ func TestNilSessionPassesThrough(t *testing.T) {
 	if s.Active() || s.Recording() || s.Replaying() || s.Mode() != ModeOff {
 		t.Error("nil session reports a mode")
 	}
-	if s.Err() != nil || s.Finish() != nil || s.Journal() != nil {
+	if s.Finish() != nil || s.Journal() != nil {
 		t.Error("nil session has state")
 	}
 	inner := &fakeClock{now: time.Unix(100, 0)}
@@ -217,7 +217,8 @@ func TestFaultConditionalPeek(t *testing.T) {
 			return nil
 		})
 		if i == 2 {
-			if !IsRecordedFault(err) {
+			var rf *RecordedFault
+			if !errors.As(err, &rf) {
 				t.Fatalf("replay fault at %d: %v, want RecordedFault", i, err)
 			}
 			if err.Error() != boom.Error() {
@@ -258,7 +259,7 @@ func TestCheckpointDivergence(t *testing.T) {
 			t.Errorf("divergence message %q missing %q", msg, want)
 		}
 	}
-	if rp.Err() == nil || rp.Finish() == nil {
+	if rp.Finish() == nil {
 		t.Error("divergence did not stick")
 	}
 }

@@ -20,7 +20,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	v.With("Profiling").Inc()
 	hv := r.HistogramVec("core_stage_seconds", "stage")
 	hv.With("bolt").Observe(2)
-	r.GaugeVec("fleet_state", "service").With(`q"u\o`).Set(1)
+	v.With(`q"u\o`).Inc()
 
 	want := strings.Join([]string{
 		`# TYPE core_rounds_total counter`,
@@ -42,8 +42,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		`# TYPE fleet_stage_errors_total counter`,
 		`fleet_stage_errors_total{stage="Profiling"} 1`,
 		`fleet_stage_errors_total{stage="Replacing"} 2`,
-		`# TYPE fleet_state gauge`,
-		`fleet_state{service="q\"u\\o"} 1`,
+		`fleet_stage_errors_total{stage="q\"u\\o"} 1`,
 	}, "\n") + "\n"
 
 	var b strings.Builder

@@ -297,14 +297,6 @@ func (c *CounterVec) With(values ...string) *Counter {
 	return c.v.with(func() *Counter { return &Counter{} }, values)
 }
 
-// GaugeVec is a gauge family keyed by a fixed set of labels.
-type GaugeVec struct{ v vec[Gauge] }
-
-// With returns the gauge for the given label values (in key order).
-func (g *GaugeVec) With(values ...string) *Gauge {
-	return g.v.with(func() *Gauge { return &Gauge{} }, values)
-}
-
 // HistogramVec is a histogram family keyed by a fixed set of labels.
 type HistogramVec struct{ v vec[Histogram] }
 
@@ -335,14 +327,6 @@ func checkKeys(name string, have, want []string) {
 // given name and label keys. Label ordering is fixed at first use.
 func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	v := lookup(r, name, func() *CounterVec { return &CounterVec{v: vec[Counter]{name: name, keys: keys}} })
-	checkKeys(name, v.v.keys, keys)
-	return v
-}
-
-// GaugeVec returns (creating if needed) the gauge vector with the given
-// name and label keys.
-func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
-	v := lookup(r, name, func() *GaugeVec { return &GaugeVec{v: vec[Gauge]{name: name, keys: keys}} })
 	checkKeys(name, v.v.keys, keys)
 	return v
 }
@@ -439,10 +423,6 @@ func (r *Registry) Snapshot() []Point {
 	for i, name := range names {
 		switch m := metrics[i].(type) {
 		case *CounterVec:
-			for _, s := range m.v.series() {
-				out = append(out, point(name, s.labels, s.m))
-			}
-		case *GaugeVec:
 			for _, s := range m.v.series() {
 				out = append(out, point(name, s.labels, s.m))
 			}

@@ -170,7 +170,7 @@ func TestCounterVec(t *testing.T) {
 
 func TestGaugeAndHistogramVec(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeVec("inflight", "service").With("db").Set(3)
+	r.Gauge("inflight").Set(3)
 	hv := r.HistogramVec("stage_seconds", "service", "stage")
 	hv.With("db", "replace").Observe(1)
 	hv.With("db", "replace").Observe(3)
@@ -219,14 +219,13 @@ func TestVecMisuse(t *testing.T) {
 				t.Error("type mismatch should panic")
 			}
 		}()
-		r.GaugeVec("v_total", "a", "b")
+		r.HistogramVec("v_total", "a", "b")
 	}()
 }
 
 func TestNilRegistryVecsAreSinks(t *testing.T) {
 	var r *Registry
 	r.CounterVec("a", "k").With("v").Inc()
-	r.GaugeVec("b", "k").With("v").Set(1)
 	r.HistogramVec("c", "k").With("v").Observe(1)
 	if pts := r.Snapshot(); pts != nil {
 		t.Errorf("nil registry snapshot = %v", pts)

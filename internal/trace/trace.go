@@ -24,11 +24,10 @@ const DefaultMaxSpans = 8192
 type Tracer struct {
 	journal *Journal
 
-	mu           sync.Mutex
-	nextID       uint64
-	spans        []*Span
-	maxSpans     int
-	spansDropped uint64
+	mu       sync.Mutex
+	nextID   uint64
+	spans    []*Span
+	maxSpans int
 }
 
 // New returns a tracer with a fresh journal.
@@ -92,8 +91,6 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 	s.ID = t.nextID
 	if len(t.spans) < t.maxSpans {
 		t.spans = append(t.spans, s)
-	} else {
-		t.spansDropped++
 	}
 	t.mu.Unlock()
 	e := t.Emit(Event{Type: EvSpanStart, Service: s.service, Round: s.round, Stage: name, Span: s.ID})
@@ -101,17 +98,6 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 	s.startSeq = e.Seq
 	s.mu.Unlock()
 	return s
-}
-
-// SpansDropped reports how many spans were started past the retention
-// cap.
-func (t *Tracer) SpansDropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spansDropped
 }
 
 // Identity returns the span's service and round.
@@ -182,39 +168,6 @@ func (s *Span) End(err error) {
 	s.mu.Lock()
 	s.endSeq = stored.Seq
 	s.mu.Unlock()
-}
-
-// Ended reports whether End was called.
-func (s *Span) Ended() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ended
-}
-
-// Err returns the error the span ended with (nil while open).
-func (s *Span) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Duration returns the span's wall time (time since start while open).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ended {
-		return time.Since(s.start)
-	}
-	return s.end.Sub(s.start)
 }
 
 // Event journals a typed event attributed to this span (service, round,

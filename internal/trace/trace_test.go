@@ -79,8 +79,8 @@ func TestEndIdempotent(t *testing.T) {
 	s := tr.Start(nil, "x")
 	s.End(errors.New("first"))
 	s.End(errors.New("second"))
-	if s.Err().Error() != "first" {
-		t.Errorf("second End overwrote the first: %v", s.Err())
+	if roots := tr.Tree(""); len(roots) != 1 || roots[0].Err != "first" {
+		t.Errorf("second End overwrote the first: %+v", roots[0])
 	}
 	if n := len(tr.Journal().ByType(EvSpanEnd)); n != 1 {
 		t.Errorf("span_end events = %d, want 1", n)
@@ -99,9 +99,6 @@ func TestNilTracerAndSpanAreSinks(t *testing.T) {
 	s.SetAttrs(Int("b", 2))
 	s.Event(EvRevert)
 	s.End(nil)
-	if s.Ended() || s.Err() != nil || s.Duration() != 0 {
-		t.Error("nil span has state")
-	}
 	tr.Emit(Event{Type: EvRevert})
 	if tr.Journal().Len() != 0 || tr.Tree("") != nil {
 		t.Error("nil tracer retained data")
@@ -190,7 +187,6 @@ func TestConcurrentSpansAndJournal(t *testing.T) {
 				} else {
 					s.End(errors.New("odd"))
 				}
-				_ = s.Duration()
 				_ = tr.Tree("svc")
 			}
 		}(w)
@@ -206,10 +202,6 @@ func TestConcurrentSpansAndJournal(t *testing.T) {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("journal out of order: seq %d then %d", evs[i-1].Seq, evs[i].Seq)
 		}
-	}
-	// 1 root + workers*perWorker children started; retention capped.
-	if tr.SpansDropped() != uint64(1+workers*perWorker-128) {
-		t.Errorf("spans dropped = %d", tr.SpansDropped())
 	}
 }
 

@@ -90,8 +90,8 @@ func TestStackCorruptChainReturnsTypedError(t *testing.T) {
 	}
 
 	// A stack-live set computed from a corrupt walk would be incomplete;
-	// LiveFunctions must refuse rather than silently under-report.
-	if _, err := LiveFunctions(tr, pr.Bin); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("LiveFunctions err = %v, want ErrCorrupt", err)
+	// AllStacks must refuse rather than silently under-report.
+	if _, err := AllStacks(tr); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("AllStacks err = %v, want ErrCorrupt", err)
 	}
 }

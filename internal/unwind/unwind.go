@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/obj"
 	"repro/internal/ptrace"
 )
 
@@ -110,23 +109,4 @@ func AllStacks(t Walker) ([][]Frame, error) {
 		}
 	}
 	return out, nil
-}
-
-// LiveFunctions symbolizes all frames against a binary and returns the set
-// of stack-live functions (keyed by entry address) — the functions OCOLOS
-// must treat specially during replacement.
-func LiveFunctions(t Walker, bin *obj.Binary) (map[uint64]*obj.Func, error) {
-	stacks, err := AllStacks(t)
-	if err != nil {
-		return nil, err
-	}
-	live := make(map[uint64]*obj.Func)
-	for _, frames := range stacks {
-		for _, fr := range frames {
-			if f, _, _ := bin.Lookup(fr.PC); f != nil {
-				live[f.Addr] = f
-			}
-		}
-	}
-	return live, nil
 }

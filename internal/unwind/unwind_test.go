@@ -90,14 +90,6 @@ func TestUnwindNestedCalls(t *testing.T) {
 			t.Errorf("frame %d missing return slot", i)
 		}
 	}
-
-	live, err := LiveFunctions(tr, bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) != 4 {
-		t.Errorf("%d live functions, want 4", len(live))
-	}
 }
 
 func TestPokeReleasesSpinAndResume(t *testing.T) {

@@ -91,6 +91,19 @@ go test -run '^$' -fuzz FuzzLRUMatchesReference -fuzztime 10s ./internal/cpu
 echo "== go test -short -run TestFaultSweep ./internal/diffcheck"
 go test -short -run TestFaultSweep ./internal/diffcheck || { upload_journals; exit 1; }
 
+# Benchmark smoke (see bench/README.md): every workload through the
+# traced pass, the mode the benchmark's per-layer run uses. The tier-1
+# tests trace only churn_reopt, so a traced run that fails on another
+# workload shows here, with its output.
+echo "== go run ./bench -smoke -trace 1 (every workload)"
+go build -o "$tmpdir/bench" ./bench
+for w in paper_round churn_reopt wave_replicas drift_tenants; do
+    "$tmpdir/bench" -smoke -trace 1 -workload "$w" >"$tmpdir/bench.out" 2>"$tmpdir/bench.err" ||
+        { cat "$tmpdir/bench.err"; echo "bench -smoke -trace 1 -workload $w exited nonzero"; exit 1; }
+    tail -n 1 "$tmpdir/bench.out" | grep -q '"correct":true' ||
+        { cat "$tmpdir/bench.err"; echo "bench -smoke -trace 1 -workload $w did not report \"correct\":true"; exit 1; }
+done
+
 # Control-plane smoke (see docs/observability.md): boot the real fleetd
 # with an ephemeral-port HTTP control plane and a minimal wave, scrape
 # /healthz and /metrics while it runs, then shut it down with SIGTERM
