@@ -235,6 +235,11 @@ func drive(cfg runConfig, sess *replay.Session) error {
 	p.RunFor(0.003)
 	base := wl.Measure(p, d, 0.004)
 	fmt.Printf("original steady state: %.0f req/s\n", base)
+	if base == 0 {
+		return fmt.Errorf("%s %s completed no requests in the baseline window, so there is no throughput to optimize: "+
+			"ocolos-run needs a request-serving workload (compilersim is a batch guest; `experiments fig10` runs it under BAM)",
+			cfg.workload, cfg.input)
+	}
 	if err := checkpoint(sess, "baseline", ctl, 0, base); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,5 +18,16 @@ func TestRecordReplay(t *testing.T) {
 	}
 	if err := replaySession(path); err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+}
+
+// TestBatchGuestRejected: a batch guest completes no requests, so the
+// session must stop at the baseline with an error that says so, not
+// profile it and fail later on an empty profile.
+func TestBatchGuestRejected(t *testing.T) {
+	cfg := runConfig{workload: "compilersim", input: "tu:3", profileMS: 1, rounds: 1}
+	err := run(cfg, "")
+	if err == nil || !strings.Contains(err.Error(), "completed no requests in the baseline window") {
+		t.Fatalf("run(compilersim) = %v, want the no-requests baseline error", err)
 	}
 }

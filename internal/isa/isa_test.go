@@ -2,6 +2,10 @@ package isa
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -178,6 +182,78 @@ func TestNegate(t *testing.T) {
 			if c.Holds(d) == c.Negate().Holds(d) {
 				t.Errorf("%v and its negation agree on %d", c, d)
 			}
+		}
+	}
+}
+
+// FuzzDecode checks Decode on arbitrary 16-byte words, the form guest
+// memory hands the executors: it never panics, it rejects exactly the
+// words with an undefined opcode, an out-of-range register index or a
+// JCC with an undefined condition, and a decoded word re-encodes to the
+// same bytes (the three pad bytes aside), which decode to the same Inst.
+// The seed corpus (testdata/fuzz/FuzzDecode) holds one valid encoding
+// per opcode, a zero word and the rejects of TestDecodeRejectsInvalid.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var word [InstBytes]byte
+		copy(word[:], data)
+		in, err := Decode(word[:])
+		bad := !Op(word[0]).Valid() ||
+			word[1] >= NumRegs || word[2] >= NumRegs || word[3] >= NumRegs ||
+			Op(word[0]) == JCC && Cond(word[4]) >= condCount
+		if bad != (err != nil) {
+			t.Fatalf("Decode(% x): err = %v, want rejected = %v", word, err, bad)
+		}
+		if err != nil {
+			return
+		}
+		var re [InstBytes]byte
+		in.Encode(re[:])
+		copy(word[5:8], re[5:8])
+		if re != word {
+			t.Fatalf("Decode(% x) = %v re-encodes to % x", word, in, re)
+		}
+		if again, err := Decode(re[:]); err != nil || again != in {
+			t.Fatalf("%v re-encoded decodes to %v, %v", in, again, err)
+		}
+	})
+}
+
+// TestDecodeCorpus checks that FuzzDecode's committed seeds still say
+// what their names say: valid-<op> decodes to that opcode, the rest are
+// rejected, and every opcode has a valid seed.
+func TestDecodeCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := map[Op]bool{}
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil || len(data) != InstBytes {
+			t.Fatalf("%s: not a one-word fuzz input: %q", f.Name(), lines[len(lines)-1])
+		}
+		in, err := Decode([]byte(data))
+		name, valid := strings.CutPrefix(f.Name(), "valid-")
+		switch {
+		case !valid && err == nil:
+			t.Errorf("%s decodes to %v, want an error", f.Name(), in)
+		case valid && (err != nil || in.Op.String() != name):
+			t.Errorf("%s decodes to %v, %v", f.Name(), in, err)
+		case valid:
+			seeded[in.Op] = true
+		}
+	}
+	for op := NOP; op < opCount; op++ {
+		if !seeded[op] {
+			t.Errorf("no valid-%s seed", op)
 		}
 	}
 }

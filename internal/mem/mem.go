@@ -27,8 +27,9 @@ const pageShift = 12
 type AddressSpace struct {
 	pages map[uint64]*[PageSize]byte
 
-	// lastPage caches the most recently touched page to short-circuit the
-	// map lookup on the common sequential access pattern.
+	// lastIdx/lastData cache the most recently touched page to
+	// short-circuit the map lookup on the common sequential access
+	// pattern.
 	lastIdx  uint64
 	lastData *[PageSize]byte
 
@@ -36,9 +37,8 @@ type AddressSpace struct {
 	maxResident int // high-water mark
 
 	// writeWatch, if set, is invoked after every store with the written
-	// range. The process layer uses it to invalidate decoded-instruction
-	// caches when code is overwritten (self-modifying code / OCOLOS
-	// patching).
+	// range. The process layer uses it to invalidate its decoded traces
+	// when code is overwritten (self-modifying code / OCOLOS patching).
 	writeWatch func(addr uint64, n int)
 }
 
@@ -170,13 +170,21 @@ func (as *AddressSpace) Write(addr uint64, src []byte) {
 	}
 }
 
+// zeroPage is what CodeSlice shows for an unmapped page. It is shared by
+// every address space and never written.
+var zeroPage [PageSize]byte
+
 // CodeSlice returns a direct view of the page bytes containing addr,
 // limited to the remainder of that page. Callers (the instruction fetch
-// path) use it to decode without copying. The page is allocated if needed
-// so the returned slice is always non-nil and at least InstBytes long when
-// addr is 16-byte aligned and not at the very end of a page.
+// path) use it to decode without copying, and must not write through it.
+// An unmapped page reads as zeros without being allocated, so a jump into
+// released code faults on decode without bringing the page back into RSS.
+// The slice is at least InstBytes long when addr is 16-byte aligned.
 func (as *AddressSpace) CodeSlice(addr uint64) []byte {
-	p := as.page(addr >> pageShift)
+	p := as.peekPage(addr >> pageShift)
+	if p == nil {
+		p = &zeroPage
+	}
 	return p[addr&(PageSize-1):]
 }
 

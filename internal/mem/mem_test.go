@@ -182,6 +182,35 @@ func TestCodeSlice(t *testing.T) {
 	}
 }
 
+// TestCodeSliceUnmapped pins that fetching from a page that was never
+// mapped, or was released, reads zeros to the end of the page and
+// allocates nothing: a stray jump must not grow RSS.
+func TestCodeSliceUnmapped(t *testing.T) {
+	as := NewAddressSpace()
+	as.WriteWord(0x400000, 0x0102030405060708)
+	as.Unmap(0x400000, PageSize)
+	for _, addr := range []uint64{0x400000, 0x400ff0, 0x6000_0000_0000 + 0x230} {
+		s := as.CodeSlice(addr)
+		if want := PageSize - int(addr%PageSize); len(s) != want {
+			t.Errorf("CodeSlice(%#x) has len %d, want %d", addr, len(s), want)
+		}
+		for i, b := range s {
+			if b != 0 {
+				t.Fatalf("CodeSlice(%#x)[%d] = %#x, want 0", addr, i, b)
+			}
+		}
+		if as.Resident(addr) {
+			t.Errorf("CodeSlice(%#x) made its page resident", addr)
+		}
+	}
+	if got := as.ResidentBytes(); got != 0 {
+		t.Errorf("ResidentBytes = %d after fetching unmapped pages, want 0", got)
+	}
+	if got := as.MaxResidentBytes(); got != PageSize {
+		t.Errorf("MaxResidentBytes = %d, want %d (the one page written)", got, PageSize)
+	}
+}
+
 func BenchmarkReadWord(b *testing.B) {
 	as := NewAddressSpace()
 	as.Write(0x400000, make([]byte, 1<<20))

@@ -13,15 +13,19 @@ func (p *Process) Step(t *Thread) bool {
 	if t.Halted {
 		return false
 	}
-	in, err := p.decode(t.PC)
+	pc := t.PC
+	if pc%isa.InstBytes != 0 {
+		p.faultThread(t, fmt.Errorf("proc: misaligned PC %#x", pc))
+		return false
+	}
+	in, err := isa.Decode(p.Mem.CodeSlice(pc))
 	if err != nil {
-		p.faultThread(t, err)
+		p.faultThread(t, fmt.Errorf("proc: at PC %#x: %w", pc, err))
 		return false
 	}
 	c := t.Core
-	c.Fetch(t.PC)
+	c.Fetch(pc)
 
-	pc := t.PC
 	next := pc + isa.InstBytes
 
 	switch in.Op {

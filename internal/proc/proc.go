@@ -117,16 +117,13 @@ type Process struct {
 	// touch; everything else is reported as unmapped.
 	regions []Region
 
-	dcache   map[uint64]*decodePage
-	lastPage *decodePage
-	lastIdx  uint64
-
-	// Trace cache (trace.go; see docs/perf.md). traces maps a start PC
-	// to its one-block trace; tracePg indexes every trace, one-block or
+	// Trace cache (trace.go; see docs/perf.md), the only decoded form of
+	// guest code: Step decodes straight from memory. traces maps a start
+	// PC to its one-block trace; tracePg indexes every trace, one-block or
 	// spliced, by each code page it was decoded from — spliced traces
 	// span pages, so one store can invalidate a trace registered on
-	// several. loCodePg/hiCodePg bound the pages holding any decoded
-	// state so the write watch can dismiss stack and heap stores without
+	// several. loCodePg/hiCodePg bound the pages holding any trace so
+	// the write watch can dismiss stack and heap stores without
 	// a map lookup.
 	traces   map[uint64]*trace
 	tracePg  map[uint64][]*trace
@@ -147,11 +144,6 @@ type Process struct {
 
 type sampleHook struct{ fn func(t *Thread) }
 
-type decodePage struct {
-	insts [mem.PageSize / isa.InstBytes]isa.Inst
-	valid [mem.PageSize / isa.InstBytes]bool
-}
-
 // Load creates a process from a binary: sections are copied into a fresh
 // address space, threads are created halted at the entry function with
 // their thread index in R0.
@@ -168,7 +160,6 @@ func Load(bin *obj.Binary, opts Options) (*Process, error) {
 		opts:       opts,
 		handler:    opts.Handler,
 		heapCursor: HeapBase,
-		dcache:     make(map[uint64]*decodePage),
 		traces:     make(map[uint64]*trace),
 		tracePg:    make(map[uint64][]*trace),
 		loCodePg:   ^uint64(0),
@@ -239,24 +230,19 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// invalidate drops decoded instructions and traces covering a written
-// range. The write watch calls this on *every* store — stack pushes
-// included — so the common case must be a cheap dismissal: any range
-// outside [loCodePg, hiCodePg] (the pages holding decoded state) returns
-// without touching a map. Huge in-range spans (a garbage-collected code
-// region) walk the caches instead of the range.
+// invalidate drops the traces decoded from a written range. The write
+// watch calls this on *every* store — stack pushes included — so the
+// common case must be a cheap dismissal: any range outside
+// [loCodePg, hiCodePg] (the pages holding traces) returns without
+// touching a map. Huge in-range spans (a garbage-collected code region)
+// walk the page index instead of the range.
 func (p *Process) invalidate(addr uint64, n int) {
 	first := addr / mem.PageSize
 	last := (addr + uint64(n) - 1) / mem.PageSize
 	if last < p.loCodePg || first > p.hiCodePg {
 		return
 	}
-	if last-first+1 > uint64(len(p.dcache))+uint64(len(p.tracePg)) {
-		for pg := range p.dcache {
-			if pg >= first && pg <= last {
-				delete(p.dcache, pg)
-			}
-		}
+	if last-first+1 > uint64(len(p.tracePg)) {
 		for pg := range p.tracePg {
 			if pg >= first && pg <= last {
 				p.dropTraces(pg)
@@ -264,11 +250,9 @@ func (p *Process) invalidate(addr uint64, n int) {
 		}
 	} else {
 		for pg := first; pg <= last; pg++ {
-			delete(p.dcache, pg)
 			p.dropTraces(pg)
 		}
 	}
-	p.lastPage = nil
 }
 
 // dropTraces invalidates every trace decoded from the given page. Traces
@@ -302,35 +286,6 @@ func (p *Process) noteCodePage(pg uint64) {
 	if pg > p.hiCodePg {
 		p.hiCodePg = pg
 	}
-}
-
-// decode fetches the decoded instruction at addr, caching per page.
-func (p *Process) decode(addr uint64) (isa.Inst, error) {
-	pg := addr / mem.PageSize
-	dp := p.lastPage
-	if dp == nil || pg != p.lastIdx {
-		dp = p.dcache[pg]
-		if dp == nil {
-			dp = new(decodePage)
-			p.dcache[pg] = dp
-			p.noteCodePage(pg)
-		}
-		p.lastPage, p.lastIdx = dp, pg
-	}
-	slot := (addr % mem.PageSize) / isa.InstBytes
-	if addr%isa.InstBytes != 0 {
-		return isa.Inst{}, fmt.Errorf("proc: misaligned PC %#x", addr)
-	}
-	if dp.valid[slot] {
-		return dp.insts[slot], nil
-	}
-	in, err := isa.Decode(p.Mem.CodeSlice(addr))
-	if err != nil {
-		return isa.Inst{}, fmt.Errorf("proc: at PC %#x: %w", addr, err)
-	}
-	dp.insts[slot] = in
-	dp.valid[slot] = true
-	return in, nil
 }
 
 // Region is one agent-mapped address window.

@@ -389,12 +389,35 @@ func TestUnmapInvalidatesDecodedCode(t *testing.T) {
 	prB := newVictimProc()
 	prB.RunUntilHalt(0)
 	prB.Mem.Unmap(victim, mem.PageSize)
+	rss := prB.Mem.ResidentBytes()
 	rerun(prB)
 	if prB.Fault() == nil {
 		t.Fatal("fully-unmapped code executed stale decode")
 	}
 	if a, b := prA.Fault().Error(), prB.Fault().Error(); a != b {
 		t.Errorf("partial and full unmap fault differently:\n  partial: %s\n  full:    %s", a, b)
+	}
+	if prB.Mem.Resident(victim) || prB.Mem.ResidentBytes() != rss {
+		t.Errorf("faulting fetch brought the released page back: resident %v, RSS %d → %d",
+			prB.Mem.Resident(victim), rss, prB.Mem.ResidentBytes())
+	}
+
+	// The same full-page case through the reference executor.
+	prC := newVictimProc()
+	prC.RunUntilHalt(0)
+	prC.Mem.Unmap(victim, mem.PageSize)
+	rss = prC.Mem.ResidentBytes()
+	t0 := prC.Threads[0]
+	t0.Halted = false
+	t0.PC = prC.Bin.Entry
+	for prC.Step(t0) {
+	}
+	if prC.Fault() == nil || prC.Fault().Error() != prB.Fault().Error() {
+		t.Errorf("Step faults differently from the engine:\n  step:   %v\n  engine: %v", prC.Fault(), prB.Fault())
+	}
+	if prC.Mem.Resident(victim) || prC.Mem.ResidentBytes() != rss {
+		t.Errorf("Step's faulting fetch brought the released page back: resident %v, RSS %d → %d",
+			prC.Mem.Resident(victim), rss, prC.Mem.ResidentBytes())
 	}
 }
 
@@ -443,7 +466,7 @@ func TestUnmapStraddlingPageBoundary(t *testing.T) {
 
 func TestSelfModifyingCodeInvalidation(t *testing.T) {
 	// main loops twice over a MOVI that external code rewrites between
-	// runs; the decode cache must observe the new bytes.
+	// runs; the re-run must execute the new bytes, not a stale trace.
 	p := build.NewProgram("smc")
 	p.Global("out", 8)
 	m := p.Func("main")

@@ -144,11 +144,11 @@ func pureOp(op isa.Op) bool {
 }
 
 // traceAt returns the valid one-block trace starting at pc, decoding it
-// on a miss. Invalidated traces are removed from the map, so a hit is
-// always valid. A decode error on the first instruction is the caller's
-// to raise (identical to what Step would report); an error later just
-// ends the block before the bad word, so the fault surfaces — or doesn't
-// — exactly when execution reaches it.
+// from guest memory on a miss. Invalidated traces are removed from the
+// map, so a hit is always valid. A decode error on the first instruction
+// is the caller's to raise (identical to what Step would report); an
+// error later just ends the block before the bad word, so the fault
+// surfaces — or doesn't — exactly when execution reaches it.
 func (p *Process) traceAt(pc uint64) (*trace, error) {
 	if tr := p.traces[pc]; tr != nil {
 		return tr, nil
@@ -156,14 +156,16 @@ func (p *Process) traceAt(pc uint64) (*trace, error) {
 	if pc%isa.InstBytes != 0 {
 		return nil, fmt.Errorf("proc: misaligned PC %#x", pc)
 	}
-	// Size the block first (decode is cached per page) so ops is
-	// allocated once, exactly. Blocks never span pages.
+	// Blocks never span pages, so one view of the rest of pc's page
+	// serves both passes: the first sizes the block, so ops is allocated
+	// once, exactly, and the second fills it.
+	code := p.Mem.CodeSlice(pc)
 	n := 0
-	for at := pc; n == 0 || at%mem.PageSize != 0; at += isa.InstBytes {
-		in, err := p.decode(at)
+	for off := 0; off < len(code); off += isa.InstBytes {
+		in, err := isa.Decode(code[off:])
 		if err != nil {
 			if n == 0 {
-				return nil, err
+				return nil, fmt.Errorf("proc: at PC %#x: %w", pc, err)
 			}
 			break
 		}
@@ -176,7 +178,7 @@ func (p *Process) traceAt(pc uint64) (*trace, error) {
 	for i := range tr.ops {
 		o := &tr.ops[i]
 		o.pc = pc + uint64(i)*isa.InstBytes
-		o.in, _ = p.decode(o.pc)
+		o.in, _ = isa.Decode(code[i*isa.InstBytes:])
 		switch o.in.Op {
 		case isa.JMP, isa.JCC, isa.CALL:
 			o.target = uint64(int64(o.pc+isa.InstBytes) + o.in.Imm)

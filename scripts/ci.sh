@@ -84,6 +84,11 @@ go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/o
 echo "== go test -run '^\$' -fuzz FuzzLRUMatchesReference -fuzztime 10s ./internal/cpu"
 go test -run '^$' -fuzz FuzzLRUMatchesReference -fuzztime 10s ./internal/cpu
 
+# Decode oracle: both executors decode guest memory through isa.Decode,
+# so fuzz it on arbitrary words beyond its committed seed corpus.
+echo "== go test -run '^\$' -fuzz FuzzDecode -fuzztime 10s ./internal/isa"
+go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/isa
+
 # Transactional-replacement gate (see docs/robustness.md): the sampled
 # fault sweep proves every injected tracee fault rolls back
 # bit-identically to the baseline (-short samples indices — a different
