@@ -6,6 +6,12 @@
 // OCOLOS paper does: injecting an optimized code region C1 grows RSS by the
 // size of the new code, and garbage-collecting a dead code version Ci
 // shrinks it back.
+//
+// A loaded binary's pages come from an Image, which every address space
+// mapping it shares until it writes a page, the way Linux maps a file's
+// text: the first store to a shared page (an OCOLOS ptrace poke, say)
+// copies it. RSS counts a shared page in every address space that maps
+// it, as Table I's per-process max RSS does.
 package mem
 
 import (
@@ -19,19 +25,23 @@ const PageSize = 4096
 
 const pageShift = 12
 
-// AddressSpace is a sparse 64-bit byte-addressable memory.
+// AddressSpace is a sparse 64-bit byte-addressable memory. Pages mapped
+// from an Image are shared, read-only, until the first write to them
+// gives this address space a private copy; they count as resident from
+// the moment they are mapped.
 //
 // It is not safe for concurrent use; the process scheduler serializes
 // accesses (the simulation models multiple cores but steps them from one
 // goroutine).
 type AddressSpace struct {
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]entry
 
 	// lastIdx/lastData cache the most recently touched page to
 	// short-circuit the map lookup on the common sequential access
-	// pattern.
-	lastIdx  uint64
-	lastData *[PageSize]byte
+	// pattern; lastShared is its entry's shared bit.
+	lastIdx    uint64
+	lastData   *[PageSize]byte
+	lastShared bool
 
 	resident    int // pages currently allocated
 	maxResident int // high-water mark
@@ -42,9 +52,41 @@ type AddressSpace struct {
 	writeWatch func(addr uint64, n int)
 }
 
+// entry is one page-table slot. A shared page belongs to an Image and is
+// never written: writablePage replaces it with a private copy first.
+type entry struct {
+	p      *[PageSize]byte
+	shared bool
+}
+
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]*[PageSize]byte)}
+	return &AddressSpace{pages: make(map[uint64]entry)}
+}
+
+// Image is a read-only set of pages that any number of address spaces
+// map copy-on-write: the page cache of a binary's file.
+type Image struct{ pages map[uint64]*[PageSize]byte }
+
+// Freeze returns the pages of as as an Image. as must not be used
+// afterwards.
+func (as *AddressSpace) Freeze() *Image {
+	img := &Image{pages: make(map[uint64]*[PageSize]byte, len(as.pages))}
+	for idx, e := range as.pages {
+		img.pages[idx] = e.p
+	}
+	return img
+}
+
+// Map returns a new address space holding every page of img, shared.
+// It only reads img, so concurrent Maps of one Image are safe.
+func (img *Image) Map() *AddressSpace {
+	n := len(img.pages)
+	as := &AddressSpace{pages: make(map[uint64]entry, n), resident: n, maxResident: n}
+	for idx, p := range img.pages {
+		as.pages[idx] = entry{p: p, shared: true}
+	}
+	return as
 }
 
 // SetWriteWatch registers fn to be called after every store. A nil fn
@@ -53,33 +95,48 @@ func (as *AddressSpace) SetWriteWatch(fn func(addr uint64, n int)) {
 	as.writeWatch = fn
 }
 
+// page returns the page for writing. Its hit path stays small enough to
+// inline; everything else is writablePage's.
 func (as *AddressSpace) page(idx uint64) *[PageSize]byte {
-	if idx == as.lastIdx && as.lastData != nil {
+	if idx == as.lastIdx && as.lastData != nil && !as.lastShared {
 		return as.lastData
 	}
-	p, ok := as.pages[idx]
-	if !ok {
-		p = new([PageSize]byte)
-		as.pages[idx] = p
-		as.resident++
-		if as.resident > as.maxResident {
-			as.maxResident = as.resident
-		}
-	}
-	as.lastIdx, as.lastData = idx, p
-	return p
+	return as.writablePage(idx)
 }
 
-// peekPage returns the page without allocating; nil if unmapped.
+// writablePage allocates an untouched page and replaces a shared one with
+// a private copy. Either way the page stays resident exactly once. It is
+// kept out of line so that page inlines.
+//
+//go:noinline
+func (as *AddressSpace) writablePage(idx uint64) *[PageSize]byte {
+	e, ok := as.pages[idx]
+	if !ok || e.shared {
+		p := new([PageSize]byte)
+		if ok {
+			*p = *e.p
+		} else {
+			as.resident++
+			as.maxResident = max(as.maxResident, as.resident)
+		}
+		e = entry{p: p}
+		as.pages[idx] = e
+	}
+	as.lastIdx, as.lastData, as.lastShared = idx, e.p, false
+	return e.p
+}
+
+// peekPage returns the page for reading without allocating; nil if
+// unmapped.
 func (as *AddressSpace) peekPage(idx uint64) *[PageSize]byte {
 	if idx == as.lastIdx && as.lastData != nil {
 		return as.lastData
 	}
-	p := as.pages[idx]
-	if p != nil {
-		as.lastIdx, as.lastData = idx, p
+	e := as.pages[idx]
+	if e.p != nil {
+		as.lastIdx, as.lastData, as.lastShared = idx, e.p, e.shared
 	}
-	return p
+	return e.p
 }
 
 // LoadByte returns the byte at addr (0 for untouched memory, without
@@ -228,7 +285,8 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 			if pageEnd < stop {
 				stop = pageEnd
 			}
-			if p := as.pages[lo>>pageShift]; p != nil {
+			if _, ok := as.pages[lo>>pageShift]; ok {
+				p := as.writablePage(lo >> pageShift)
 				for i := lo; i < stop; i++ {
 					p[i&(PageSize-1)] = 0
 				}

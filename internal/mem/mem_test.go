@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -268,5 +269,115 @@ func TestUnmapStraddlingPartialPages(t *testing.T) {
 	}
 	if as.LoadByte(3*PageSize+99) != 0 || as.LoadByte(3*PageSize+100) != 0xAB {
 		t.Error("tail handling wrong")
+	}
+}
+
+// cowBase is where the copy-on-write tests' image starts: four pages of
+// distinct bytes, with one untouched page on either side.
+const cowBase = 0x400000
+
+func cowImage() (*Image, []byte) {
+	src := make([]byte, 4*PageSize)
+	for i := range src {
+		src[i] = byte(i*13 + 1)
+	}
+	as := NewAddressSpace()
+	as.Write(cowBase, src)
+	return as.Freeze(), src
+}
+
+// cowWindow reads the image's pages and one page either side.
+func cowWindow(as *AddressSpace) []byte {
+	b := make([]byte, 6*PageSize)
+	as.Read(cowBase-PageSize, b)
+	return b
+}
+
+// TestCopyOnWriteIsolation maps one image into two address spaces and
+// writes through one of them in every way the program writes memory.
+// After each write, the other address space and the image still hold the
+// original bytes, and the writer reads, counts and maps exactly what a
+// private load (every page copied up front) given the same write does.
+func TestCopyOnWriteIsolation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// fresh counts the untouched pages outside the image the op
+		// writes; -1 marks an Unmap, which releases pages.
+		fresh int
+		op    func(as *AddressSpace)
+	}{
+		{"WriteWord", 0, func(as *AddressSpace) { as.WriteWord(cowBase+8, 0x1122334455667788) }},
+		{"WriteWord straddling", 0, func(as *AddressSpace) { as.WriteWord(cowBase+PageSize-4, 0x1122334455667788) }},
+		{"StoreByte", 0, func(as *AddressSpace) { as.StoreByte(cowBase+PageSize+5, 0xEE) }},
+		{"Write straddling", 0, func(as *AddressSpace) { as.Write(cowBase+2*PageSize-3, []byte{1, 2, 3, 4, 5, 6}) }},
+		{"Write past the image", 1, func(as *AddressSpace) { as.Write(cowBase+4*PageSize-2, []byte{7, 7, 7, 7}) }},
+		{"Unmap partial head and tail", -1, func(as *AddressSpace) { as.Unmap(cowBase+100, 2*PageSize) }},
+		{"Unmap within one page", -1, func(as *AddressSpace) { as.Unmap(cowBase+3*PageSize+8, 16) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img, src := cowImage()
+			a, b := img.Map(), img.Map()
+			private := NewAddressSpace()
+			private.Write(cowBase, src)
+			want := cowWindow(b)
+			requireSameResidency(t, "before the write", a, private)
+
+			// Read first, so the one-entry cache holds the shared page
+			// the write must not go through.
+			for off := uint64(0); off < 4*PageSize; off += PageSize {
+				a.ReadWord(cowBase + off + 8)
+			}
+			before := a.ResidentBytes()
+			tc.op(a)
+			tc.op(private)
+
+			if got := cowWindow(a); !bytes.Equal(got, cowWindow(private)) {
+				t.Error("the writer reads differently from a private load given the same write")
+			}
+			requireSameResidency(t, "after the write", a, private)
+			if grown := int(a.ResidentBytes()-before) / PageSize; tc.fresh >= 0 && grown != tc.fresh {
+				t.Errorf("the write grew RSS by %d pages, want %d: a first write to a shared page counts nothing", grown, tc.fresh)
+			}
+			if !bytes.Equal(cowWindow(b), want) {
+				t.Error("the write showed through in the other address space")
+			}
+			if !bytes.Equal(cowWindow(img.Map()), want) {
+				t.Error("the write changed the image")
+			}
+		})
+	}
+}
+
+func requireSameResidency(t *testing.T, when string, got, want *AddressSpace) {
+	t.Helper()
+	if got.ResidentBytes() != want.ResidentBytes() || got.MaxResidentBytes() != want.MaxResidentBytes() {
+		t.Errorf("%s: resident %d max %d, private load %d max %d", when,
+			got.ResidentBytes(), got.MaxResidentBytes(), want.ResidentBytes(), want.MaxResidentBytes())
+	}
+	if g, w := fmt.Sprint(got.MappedRanges()), fmt.Sprint(want.MappedRanges()); g != w {
+		t.Errorf("%s: MappedRanges %s, private load %s", when, g, w)
+	}
+	for addr := uint64(cowBase - PageSize); addr < cowBase+5*PageSize; addr += PageSize {
+		if got.Resident(addr) != want.Resident(addr) {
+			t.Errorf("%s: Resident(%#x) = %v, private load %v", when, addr, got.Resident(addr), want.Resident(addr))
+		}
+	}
+}
+
+// TestMapSharesPages pins what makes the image worth having: every
+// address space mapped from it reads the image's own pages until it
+// writes one.
+func TestMapSharesPages(t *testing.T) {
+	img, _ := cowImage()
+	a, b := img.Map(), img.Map()
+	if &a.CodeSlice(cowBase)[0] != &b.CodeSlice(cowBase)[0] {
+		t.Fatal("two maps of one image read different pages")
+	}
+	a.StoreByte(cowBase, 0)
+	if &a.CodeSlice(cowBase)[0] == &b.CodeSlice(cowBase)[0] {
+		t.Fatal("a written page is still shared")
+	}
+	if &a.CodeSlice(cowBase + PageSize)[0] != &b.CodeSlice(cowBase + PageSize)[0] {
+		t.Error("a write copied a page it did not touch")
 	}
 }

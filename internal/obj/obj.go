@@ -13,6 +13,9 @@ package obj
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"repro/internal/mem"
 )
 
 // Canonical section names.
@@ -207,6 +210,55 @@ type Binary struct {
 	OSRMap map[uint64][]OSRPoint
 
 	byName map[string]*Func // built by SortFuncs
+
+	imageOnce sync.Once
+	image     *mem.Image // built by Image; Clone does not copy it
+}
+
+// Image returns the binary's sections as a loader maps them, built on the
+// first call: every process loaded from b shares these pages until it
+// writes one (proc.Load). The sections must not change afterwards.
+func (b *Binary) Image() *mem.Image {
+	b.imageOnce.Do(func() {
+		as := mem.NewAddressSpace()
+		for _, s := range b.Sections {
+			writeSparse(as, s.Addr, s.Data)
+		}
+		b.image = as.Freeze()
+	})
+	return b.image
+}
+
+// writeSparse copies a section's initialized bytes into memory, skipping
+// page-sized all-zero runs so they do not inflate RSS before the program
+// touches them. A section's zero-fill tail (Section.Zero) is not
+// passed here at all: huge zero-initialized data (document stores, scan
+// arrays) is never written, and its pages read as zero until first
+// touched — the way a real loader maps BSS. The skip still serves images
+// that spell their zeros out, so both forms load to the same resident
+// pages.
+func writeSparse(m *mem.AddressSpace, addr uint64, data []byte) {
+	const chunk = mem.PageSize
+	for off := 0; off < len(data); {
+		n := chunk - int(addr+uint64(off))%chunk
+		if off+n > len(data) {
+			n = len(data) - off
+		}
+		piece := data[off : off+n]
+		if !allZero(piece) {
+			m.Write(addr+uint64(off), piece)
+		}
+		off += n
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Section returns the section with the given name, or nil.

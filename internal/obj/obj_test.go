@@ -273,6 +273,31 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestImage: a binary's image is built once, from its initialized bytes
+// only (the zero-fill tail stays unmapped), and a Clone builds its own.
+func TestImage(t *testing.T) {
+	b := zeroFillBinary()
+	img := b.Image()
+	if b.Image() != img {
+		t.Error("a second Image call built a second image")
+	}
+	as := img.Map()
+	if got := as.LoadByte(0x500001); got != 2 {
+		t.Errorf("image reads %d at .data+1, want 2", got)
+	}
+	if as.Resident(0x501000) {
+		t.Error("the page holding only zero-fill tail is mapped")
+	}
+	c := b.Clone()
+	c.Section(SecData).Data[1] = 0xEE
+	if c.Image() == img || c.Image().Map().LoadByte(0x500001) != 0xEE {
+		t.Error("a Clone shares its source's image")
+	}
+	if got := img.Map().LoadByte(0x500001); got != 2 {
+		t.Errorf("editing a Clone changed the source's image: %d", got)
+	}
+}
+
 func TestStats(t *testing.T) {
 	b := testBinary()
 	st := b.Stats()

@@ -144,9 +144,9 @@ type Process struct {
 
 type sampleHook struct{ fn func(t *Thread) }
 
-// Load creates a process from a binary: sections are copied into a fresh
-// address space, threads are created halted at the entry function with
-// their thread index in R0.
+// Load creates a process from a binary: its address space maps the
+// binary's page image copy-on-write (obj.Binary.Image), and threads are
+// created halted at the entry function with their thread index in R0.
 func Load(bin *obj.Binary, opts Options) (*Process, error) {
 	opts.defaults()
 	if bin.Entry == 0 {
@@ -154,7 +154,7 @@ func Load(bin *obj.Binary, opts Options) (*Process, error) {
 	}
 	p := &Process{
 		Bin:        bin,
-		Mem:        mem.NewAddressSpace(),
+		Mem:        bin.Image().Map(),
 		Shared:     cpu.NewShared(opts.Config),
 		Cfg:        opts.Config,
 		opts:       opts,
@@ -165,9 +165,6 @@ func Load(bin *obj.Binary, opts Options) (*Process, error) {
 		loCodePg:   ^uint64(0),
 
 		spliceEnabled: !opts.DisableSuperblocks,
-	}
-	for _, s := range bin.Sections {
-		writeSparse(p.Mem, s.Addr, s.Data)
 	}
 	p.Mem.SetWriteWatch(p.invalidate)
 
@@ -196,38 +193,6 @@ func (p *Process) StartThread(pc uint64) *Thread {
 	t.Regs[isa.R0] = uint64(id)
 	p.Threads = append(p.Threads, t)
 	return t
-}
-
-// writeSparse copies a section's initialized bytes into memory, skipping
-// page-sized all-zero runs so they do not inflate RSS before the program
-// touches them. A section's zero-fill tail (obj.Section.Zero) is not
-// passed here at all: huge zero-initialized data (document stores, scan
-// arrays) is never written, and its pages read as zero until first
-// touched — the way a real loader maps BSS. The skip still serves images
-// that spell their zeros out, so both forms load to the same resident
-// pages.
-func writeSparse(m *mem.AddressSpace, addr uint64, data []byte) {
-	const chunk = mem.PageSize
-	for off := 0; off < len(data); {
-		n := chunk - int(addr+uint64(off))%chunk
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		piece := data[off : off+n]
-		if !allZero(piece) {
-			m.Write(addr+uint64(off), piece)
-		}
-		off += n
-	}
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // invalidate drops the traces decoded from a written range. The write

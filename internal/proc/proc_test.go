@@ -2,6 +2,7 @@ package proc
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -99,6 +100,100 @@ func TestZeroFillLoadsLikeExplicitZeros(t *testing.T) {
 		if pr.RangeMapped(sec.End(), 1) {
 			t.Error("byte past .data mapped")
 		}
+	}
+}
+
+// sumProgram stores 55 into the global "out", which the image
+// initializes to 9.
+func sumProgram() *build.ProgramBuilder {
+	p := build.NewProgram("cowsum")
+	p.Global("out", 8, []byte{9})
+	f := p.Func("main")
+	f.MovI(isa.R1, 0)
+	f.MovI(isa.R2, 0)
+	f.While(func() { f.CmpI(isa.R1, 11) }, isa.LT, func() {
+		f.Add(isa.R2, isa.R2, isa.R1)
+		f.AddI(isa.R1, isa.R1, 1)
+	})
+	f.LoadGlobalAddr(isa.R3, "out")
+	f.St(isa.R3, 0, isa.R2)
+	f.Halt()
+	p.SetEntry("main")
+	return p
+}
+
+// TestLoadSharesImage: processes loaded from one binary map its pages
+// copy-on-write. A guest store in one process shows neither in another
+// nor in a process loaded afterwards, and every process counts the
+// image in its RSS.
+func TestLoadSharesImage(t *testing.T) {
+	p := sumProgram()
+	bin := assembleOrDie(t, p)
+	out := asm.DataSymbols(mustProg(t, p), asm.Options{})["out"]
+	a, b := loadOrDie(t, bin, Options{}), loadOrDie(t, bin, Options{})
+	for _, addr := range []uint64{bin.Entry, out} {
+		if &a.Mem.CodeSlice(addr)[0] != &b.Mem.CodeSlice(addr)[0] {
+			t.Errorf("the page at %#x is not shared", addr)
+		}
+	}
+	rss := b.Mem.ResidentBytes()
+	if rss == 0 || a.Mem.ResidentBytes() != rss {
+		t.Fatalf("fresh processes hold %d and %d resident bytes", a.Mem.ResidentBytes(), rss)
+	}
+	a.RunUntilHalt(0)
+	if err := a.Fault(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Mem.ReadWord(out); got != 55 {
+		t.Errorf("writer reads out = %d, want 55", got)
+	}
+	if got := b.Mem.ReadWord(out); got != 9 {
+		t.Errorf("the other process reads out = %d, want 9", got)
+	}
+	if got := loadOrDie(t, bin, Options{}).Mem.ReadWord(out); got != 9 {
+		t.Errorf("a later load reads out = %d, want 9: the store reached the image", got)
+	}
+	if b.Mem.ResidentBytes() != rss {
+		t.Errorf("the other process's RSS moved %d -> %d", rss, b.Mem.ResidentBytes())
+	}
+}
+
+// TestConcurrentLoadsShareOneImage: goroutines loading and running one
+// binary at once build its image once and share its pages; each run's
+// stores stay in its own process. Run under -race (scripts/ci.sh).
+func TestConcurrentLoadsShareOneImage(t *testing.T) {
+	p := sumProgram()
+	bin := assembleOrDie(t, p)
+	out := asm.DataSymbols(mustProg(t, p), asm.Options{})["out"]
+	const n = 8
+	procs := make([]*Process, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range procs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if procs[i], errs[i] = Load(bin, Options{}); errs[i] == nil {
+				procs[i].RunUntilHalt(0)
+				errs[i] = procs[i].Fault()
+			}
+		}(i)
+	}
+	wg.Wait()
+	text := &loadOrDie(t, bin, Options{}).Mem.CodeSlice(bin.Entry)[0]
+	for i, pr := range procs {
+		if errs[i] != nil {
+			t.Fatalf("process %d: %v", i, errs[i])
+		}
+		if &pr.Mem.CodeSlice(bin.Entry)[0] != text {
+			t.Errorf("process %d maps its own copy of the text page", i)
+		}
+		if got := pr.Mem.ReadWord(out); got != 55 {
+			t.Errorf("process %d reads out = %d, want 55", i, got)
+		}
+	}
+	if got := loadOrDie(t, bin, Options{}).Mem.ReadWord(out); got != 9 {
+		t.Errorf("a later load reads out = %d, want 9", got)
 	}
 }
 

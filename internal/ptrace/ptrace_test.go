@@ -10,10 +10,21 @@ import (
 	"repro/internal/asm"
 	"repro/internal/build"
 	"repro/internal/isa"
+	"repro/internal/obj"
 	"repro/internal/proc"
 )
 
 func spinProcess(t *testing.T) *proc.Process {
+	t.Helper()
+	pr, err := proc.Load(spinBinary(t), proc.Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.RunUntilHalt(10000)
+	return pr
+}
+
+func spinBinary(t *testing.T) *obj.Binary {
 	t.Helper()
 	p := build.NewProgram("spin")
 	m := p.Func("main")
@@ -28,12 +39,7 @@ func spinProcess(t *testing.T) *proc.Process {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := proc.Load(bin, proc.Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr.RunUntilHalt(10000)
-	return pr
+	return bin
 }
 
 func TestAttachStopsTarget(t *testing.T) {

@@ -1,11 +1,14 @@
 package ptrace
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obj"
+	"repro/internal/proc"
 )
 
 // fingerprint captures everything a rollback promises to restore: memory
@@ -139,6 +142,61 @@ func TestTxnRollbackRestoresEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSame(t, before, snapshotTarget(t, tr))
+}
+
+// TestTxnPokeCopiesSharedPage: two processes loaded from one binary share
+// its text, so a Txn poke into it is the first write to a shared page. It
+// gives the poked process a private copy, journals no fresh page and
+// moves no residency count; neither the poke nor its rollback shows in
+// the other process or in the binary's image.
+func TestTxnPokeCopiesSharedPage(t *testing.T) {
+	bin := spinBinary(t)
+	text := bin.Section(obj.SecText)
+	requireText := func(who string, m *mem.AddressSpace) {
+		t.Helper()
+		got := make([]byte, len(text.Data))
+		m.Read(text.Addr, got)
+		if !bytes.Equal(got, text.Data) {
+			t.Fatalf("%s: text differs from the binary's", who)
+		}
+	}
+	pr, err := proc.Load(bin, proc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := proc.Load(bin, proc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Attach(pr)
+	defer tr.Detach()
+	before := snapshotTarget(t, tr)
+	otherRSS := other.Mem.ResidentBytes()
+
+	x := Begin(tr)
+	if err := x.PokeData(bin.Entry, 0xDEAD); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := x.undos[0].fresh; len(fresh) != 0 {
+		t.Errorf("the poke journaled fresh pages %v; the shared page was resident", fresh)
+	}
+	if got := pr.Mem.ResidentBytes(); got != before.resident {
+		t.Errorf("the poke moved RSS %d -> %d", before.resident, got)
+	}
+	if v, _ := tr.PeekData(bin.Entry); v != 0xDEAD {
+		t.Errorf("poked word reads %#x", v)
+	}
+	requireText("the other process after the poke", other.Mem)
+
+	if err := x.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, before, snapshotTarget(t, tr))
+	requireText("the other process after the rollback", other.Mem)
+	requireText("the image after the rollback", bin.Image().Map())
+	if got := other.Mem.ResidentBytes(); got != otherRSS {
+		t.Errorf("the other process's RSS moved %d -> %d", otherRSS, got)
+	}
 }
 
 func TestTxnCommitKeepsEffects(t *testing.T) {

@@ -59,6 +59,15 @@ for fn in '(*Core).Fetch' '(*Core).MemFast' '(*Core).BranchJumpFast' '(*Core).Br
     '(*Core).BranchCondNotTakenFast' '(*Core).RetireBulk' '(*Core).Retire' '(*lbrRing).record'; do
     echo "$inlined" | grep -qxF "$fn" || { echo "$fn no longer inlines (go build -gcflags=-m ./internal/cpu)"; exit 1; }
 done
+# Guest memory's page lookups inline too: writablePage, the copy-on-write
+# miss path, stays out of line so that page does (docs/perf.md "Shared
+# image pages": with writablePage inlined, page did not inline, and
+# wave_replicas' guest_mips was about 7 % lower).
+echo "== go build -gcflags=-m ./internal/mem (page lookups inline)"
+inlined=$(go build -gcflags=-m ./internal/mem 2>&1 | sed -n 's/.*: can inline //p')
+for fn in '(*AddressSpace).page' '(*AddressSpace).peekPage'; do
+    echo "$inlined" | grep -qxF "$fn" || { echo "$fn no longer inlines (go build -gcflags=-m ./internal/mem)"; exit 1; }
+done
 
 # The one full pass, under the race detector. It already runs every
 # named gate the docs point at — the tracee-fault/quarantine waves and
@@ -70,13 +79,14 @@ echo "== go test -race ./..."
 go test -race ./... || { upload_journals; exit 1; }
 
 # The fleet manager and telemetry registry are the concurrency-heavy
-# packages, and obj/layout/profile hold state goroutines share (binaries
-# every replica reads, cache entries, the profile store ring): run them
-# twice more under the race detector to shake out scheduling-dependent
+# packages, and obj/layout/profile/mem/proc hold state goroutines share
+# (binaries every replica reads, cache entries, the profile store ring,
+# the image pages every process of a binary maps): run them twice more
+# under the race detector to shake out scheduling-dependent
 # interleavings (-short skips the full-scale single-service runs already
 # covered above).
-echo "== go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile"
-go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile
+echo "== go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile ./internal/mem ./internal/proc"
+go test -race -count=2 -short ./internal/fleet ./internal/telemetry ./internal/obj ./internal/layout ./internal/profile ./internal/mem ./internal/proc
 
 # Timing-model oracle (see docs/testing.md): fuzz the recency-ordered
 # cache and BTB against the stamp-LRU reference they replaced, beyond the
