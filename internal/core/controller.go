@@ -113,9 +113,10 @@ type Options struct {
 	// components of the pause are divided by the parallelism factor.
 	ParallelPatch bool
 
-	// ChargePause adds the modeled stop-the-world time to the target's
-	// cores so throughput/latency measurements include it (default on;
-	// tests that only check semantics can disable it).
+	// NoChargePause leaves the modeled stop-the-world time off the
+	// target's cores. By default a replacement charges it, so throughput
+	// and latency measurements include the pause; runs that only check
+	// semantics or fleet behavior can set this.
 	NoChargePause bool
 
 	// Metrics, when non-nil, receives the controller's operational

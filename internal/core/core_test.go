@@ -454,3 +454,90 @@ func TestContinuousMultithreaded(t *testing.T) {
 		}
 	}
 }
+
+// TestHeapSurvivesContinuousOptimization runs a guest that allocates heap
+// through SysAlloc and keeps a sentinel there through five rounds. Every
+// code version gets its own region at textBase(v), and each round
+// garbage-collects the outgoing one, so the heap must lie outside every
+// such region: one that started at textBase(3) had version 3's text
+// written over it and then unmapped.
+func TestHeapSurvivesContinuousOptimization(t *testing.T) {
+	const sentinel = 0x5EE_D5EE_D5EE_D5EE
+	p := build.NewProgram("heapguest")
+	p.SetNoJumpTables(true)
+	heap := p.Global("heap", 8)
+	out := p.Global("out", 8)
+
+	leaf := p.Func("leaf")
+	leaf.Prologue(0)
+	leaf.AndI(isa.R1, isa.R0, 7)
+	leaf.CmpI(isa.R1, 3)
+	leaf.If(isa.LT, func() { leaf.MulI(isa.R0, isa.R0, 5) }, func() { leaf.XorI(isa.R0, isa.R0, 0x55) })
+	leaf.EpilogueRet()
+
+	mix := p.Func("mix")
+	mix.Prologue(16)
+	mix.Call("leaf")
+	mix.AddI(isa.R0, isa.R0, 1)
+	mix.Call("leaf")
+	mix.EpilogueRet()
+
+	m := p.Func("main")
+	m.Prologue(32)
+	m.MovI(isa.R0, 64)
+	m.Sys(proc.SysAlloc)
+	m.Mov(isa.R9, isa.R0)
+	m.LoadGlobalAddr(isa.R1, heap)
+	m.St(isa.R1, 0, isa.R9)
+	m.MovI(isa.R2, sentinel)
+	m.St(isa.R9, 0, isa.R2)
+	m.MovI(isa.R7, 0)
+	m.While(func() { m.CmpI(isa.R7, 1<<40) }, isa.LT, func() {
+		m.Mov(isa.R0, isa.R7)
+		m.Call("mix")
+		m.LoadGlobalAddr(isa.R1, out)
+		m.St(isa.R1, 0, isa.R0)
+		m.AddI(isa.R7, isa.R7, 1)
+	})
+	m.Halt()
+	p.SetEntry("main")
+	prog, err := p.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := asm.Assemble(prog, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapAddr := asm.DataSymbols(prog, asm.Options{})[heap]
+
+	pr, err := proc.Load(bin, proc.Options{Handler: proc.SyscallFunc(func(p *proc.Process, th *proc.Thread, num int64) error {
+		proc.AllocSyscall(p, th)
+		return nil
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(pr, bin, Options{Bolt: bolt.Options{AllowReBolt: true}, Perf: perf.RecorderOptions{PeriodCycles: 2000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.RunFor(0.0002)
+	block := pr.Mem.ReadWord(heapAddr)
+	if block == 0 || pr.Mem.ReadWord(block) != sentinel {
+		t.Fatalf("guest did not set up its heap block (at %#x)", block)
+	}
+	for round := 1; round <= 5; round++ {
+		if _, err := c.OptimizeRound(0.0004); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		pr.RunFor(0.0002)
+		if err := pr.Fault(); err != nil {
+			t.Fatalf("fault after round %d: %v", round, err)
+		}
+		if got := pr.Mem.ReadWord(block); got != sentinel {
+			t.Fatalf("after round %d (version region %#x), heap block %#x holds %#x, want %#x",
+				round, textBase(c.Version()), block, got, uint64(sentinel))
+		}
+	}
+}

@@ -12,6 +12,13 @@
 // text: the first store to a shared page (an OCOLOS ptrace poke, say)
 // copies it. RSS counts a shared page in every address space that maps
 // it, as Table I's per-process max RSS does.
+//
+// The process layer write-protects the pages it has decoded code from
+// (WatchCode), the way a binary translator protects the pages behind its
+// translations. Copy-on-write and code invalidation share one write-fault
+// path: the first store to a code page, or its unmapping, calls the code
+// watch once, and the page is then plain data until it is armed again.
+// Every other store takes the inlined page lookup and calls nothing.
 package mem
 
 import (
@@ -28,7 +35,8 @@ const pageShift = 12
 // AddressSpace is a sparse 64-bit byte-addressable memory. Pages mapped
 // from an Image are shared, read-only, until the first write to them
 // gives this address space a private copy; they count as resident from
-// the moment they are mapped.
+// the moment they are mapped. Pages armed with WatchCode call the code
+// watch on their first write.
 //
 // It is not safe for concurrent use; the process scheduler serializes
 // accesses (the simulation models multiple cores but steps them from one
@@ -38,25 +46,27 @@ type AddressSpace struct {
 
 	// lastIdx/lastData cache the most recently touched page to
 	// short-circuit the map lookup on the common sequential access
-	// pattern; lastShared is its entry's shared bit.
-	lastIdx    uint64
-	lastData   *[PageSize]byte
-	lastShared bool
+	// pattern; lastWP says its entry is write-protected (shared or code),
+	// so a store to it must fault into writablePage.
+	lastIdx  uint64
+	lastData *[PageSize]byte
+	lastWP   bool
 
 	resident    int // pages currently allocated
 	maxResident int // high-water mark
 
-	// writeWatch, if set, is invoked after every store with the written
-	// range. The process layer uses it to invalidate its decoded traces
-	// when code is overwritten (self-modifying code / OCOLOS patching).
-	writeWatch func(addr uint64, n int)
+	// codeWatch is called with the index of a code page on the first
+	// write to it and when Unmap releases it (SetCodeWatch).
+	codeWatch func(pg uint64)
 }
 
 // entry is one page-table slot. A shared page belongs to an Image and is
-// never written: writablePage replaces it with a private copy first.
+// never written: writablePage replaces it with a private copy first. A
+// code page calls the code watch before its first write.
 type entry struct {
 	p      *[PageSize]byte
 	shared bool
+	code   bool
 }
 
 // NewAddressSpace returns an empty address space.
@@ -89,28 +99,49 @@ func (img *Image) Map() *AddressSpace {
 	return as
 }
 
-// SetWriteWatch registers fn to be called after every store. A nil fn
-// removes the watch.
-func (as *AddressSpace) SetWriteWatch(fn func(addr uint64, n int)) {
-	as.writeWatch = fn
+// SetCodeWatch registers fn as the code watch: it is called with the
+// index of a page armed by WatchCode on the first write to that page and
+// when Unmap releases it, and the page is no longer a code page after.
+// The process layer drops the traces it decoded from the page.
+func (as *AddressSpace) SetCodeWatch(fn func(pg uint64)) { as.codeWatch = fn }
+
+// WatchCode arms page pg (an address divided by PageSize) as a code page
+// until its next write or unmapping; SetCodeWatch must have been called.
+// It is a no-op on an unmapped page and on one already armed.
+func (as *AddressSpace) WatchCode(pg uint64) {
+	e, ok := as.pages[pg]
+	if !ok || e.code {
+		return
+	}
+	e.code = true
+	as.pages[pg] = e
+	if as.lastIdx == pg {
+		as.lastWP = true
+	}
 }
 
 // page returns the page for writing. Its hit path stays small enough to
 // inline; everything else is writablePage's.
 func (as *AddressSpace) page(idx uint64) *[PageSize]byte {
-	if idx == as.lastIdx && as.lastData != nil && !as.lastShared {
+	if idx == as.lastIdx && as.lastData != nil && !as.lastWP {
 		return as.lastData
 	}
 	return as.writablePage(idx)
 }
 
-// writablePage allocates an untouched page and replaces a shared one with
-// a private copy. Either way the page stays resident exactly once. It is
-// kept out of line so that page inlines.
+// writablePage is the one write-fault path. It disarms a code page and
+// calls the code watch, allocates an untouched page, and replaces a
+// shared one with a private copy; a page stays resident exactly once. It
+// is kept out of line so that page inlines.
 //
 //go:noinline
 func (as *AddressSpace) writablePage(idx uint64) *[PageSize]byte {
 	e, ok := as.pages[idx]
+	if e.code {
+		e.code = false
+		as.pages[idx] = e
+		as.codeWatch(idx)
+	}
 	if !ok || e.shared {
 		p := new([PageSize]byte)
 		if ok {
@@ -122,7 +153,7 @@ func (as *AddressSpace) writablePage(idx uint64) *[PageSize]byte {
 		e = entry{p: p}
 		as.pages[idx] = e
 	}
-	as.lastIdx, as.lastData, as.lastShared = idx, e.p, false
+	as.lastIdx, as.lastData, as.lastWP = idx, e.p, false
 	return e.p
 }
 
@@ -134,7 +165,7 @@ func (as *AddressSpace) peekPage(idx uint64) *[PageSize]byte {
 	}
 	e := as.pages[idx]
 	if e.p != nil {
-		as.lastIdx, as.lastData, as.lastShared = idx, e.p, e.shared
+		as.lastIdx, as.lastData, as.lastWP = idx, e.p, e.shared || e.code
 	}
 	return e.p
 }
@@ -152,9 +183,6 @@ func (as *AddressSpace) LoadByte(addr uint64) byte {
 // StoreByte stores one byte at addr.
 func (as *AddressSpace) StoreByte(addr uint64, v byte) {
 	as.page(addr >> pageShift)[addr&(PageSize-1)] = v
-	if as.writeWatch != nil {
-		as.writeWatch(addr, 1)
-	}
 }
 
 // ReadWord reads a little-endian 8-byte word at addr. The fast path handles
@@ -178,9 +206,6 @@ func (as *AddressSpace) WriteWord(addr uint64, v uint64) {
 	off := addr & (PageSize - 1)
 	if off <= PageSize-8 {
 		binary.LittleEndian.PutUint64(as.page(addr >> pageShift)[off:], v)
-		if as.writeWatch != nil {
-			as.writeWatch(addr, 8)
-		}
 		return
 	}
 	var buf [8]byte
@@ -211,7 +236,6 @@ func (as *AddressSpace) Read(addr uint64, dst []byte) {
 
 // Write copies src into memory starting at addr.
 func (as *AddressSpace) Write(addr uint64, src []byte) {
-	start, total := addr, len(src)
 	for len(src) > 0 {
 		off := addr & (PageSize - 1)
 		n := PageSize - off
@@ -221,9 +245,6 @@ func (as *AddressSpace) Write(addr uint64, src []byte) {
 		copy(as.page(addr >> pageShift)[off:off+n], src[:n])
 		src = src[n:]
 		addr += n
-	}
-	if as.writeWatch != nil && total > 0 {
-		as.writeWatch(start, total)
 	}
 }
 
@@ -246,7 +267,8 @@ func (as *AddressSpace) CodeSlice(addr uint64) []byte {
 }
 
 // Unmap releases all pages fully contained in [addr, addr+size) and zeroes
-// the partially covered head/tail so reads return 0. It is used by the
+// the partially covered head/tail so reads return 0, calling the code
+// watch for every code page either way. It is used by the
 // continuous-optimization garbage collector to reclaim dead code versions
 // (§IV-C). Large sparse ranges are handled by scanning the page table
 // rather than the range.
@@ -258,20 +280,25 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 	firstFull := (addr + PageSize - 1) >> pageShift
 	lastFull := end >> pageShift // exclusive
 
+	release := func(idx uint64, e entry) {
+		delete(as.pages, idx)
+		as.resident--
+		if e.code {
+			as.codeWatch(idx)
+		}
+	}
 	if lastFull > firstFull {
 		if lastFull-firstFull > uint64(len(as.pages)) {
 			// Sparse fast path: walk the page table instead of the range.
-			for idx := range as.pages {
+			for idx, e := range as.pages {
 				if idx >= firstFull && idx < lastFull {
-					delete(as.pages, idx)
-					as.resident--
+					release(idx, e)
 				}
 			}
 		} else {
 			for idx := firstFull; idx < lastFull; idx++ {
-				if _, ok := as.pages[idx]; ok {
-					delete(as.pages, idx)
-					as.resident--
+				if e, ok := as.pages[idx]; ok {
+					release(idx, e)
 				}
 			}
 		}
@@ -310,9 +337,6 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 	}
 
 	as.lastData = nil
-	if as.writeWatch != nil {
-		as.writeWatch(addr, int(size))
-	}
 }
 
 // Resident reports whether the page containing addr is allocated. The

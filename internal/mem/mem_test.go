@@ -122,31 +122,92 @@ func TestUnmapZeroesAndFrees(t *testing.T) {
 	}
 }
 
-func TestWriteWatch(t *testing.T) {
+// TestCodeWatch pins the one write-fault path: every way a program
+// writes or releases memory calls the code watch exactly once for each
+// armed page it touches, whether the page is private or still shared
+// with an image, and nothing else ever calls it.
+func TestCodeWatch(t *testing.T) {
+	pg := func(i uint64) uint64 { return cowBase/PageSize + i }
+	for _, tc := range []struct {
+		name string
+		op   func(as *AddressSpace)
+		want []uint64 // armed pages the op reaches, in call order
+	}{
+		{"StoreByte", func(as *AddressSpace) { as.StoreByte(cowBase+5, 1) }, []uint64{pg(0)}},
+		{"WriteWord", func(as *AddressSpace) { as.WriteWord(cowBase+PageSize+8, 1) }, []uint64{pg(1)}},
+		{"WriteWord straddling", func(as *AddressSpace) { as.WriteWord(cowBase+PageSize-4, 1) }, []uint64{pg(0), pg(1)}},
+		{"Write straddling", func(as *AddressSpace) { as.Write(cowBase+2*PageSize-3, []byte{1, 2, 3, 4, 5, 6}) }, []uint64{pg(1), pg(2)}},
+		{"Write to an unarmed page", func(as *AddressSpace) { as.Write(cowBase+3*PageSize, []byte{1, 2}) }, nil},
+		{"Unmap full pages", func(as *AddressSpace) { as.Unmap(cowBase+PageSize, 3*PageSize) }, []uint64{pg(1), pg(2)}},
+		{"Unmap partial head and tail", func(as *AddressSpace) { as.Unmap(cowBase+100, PageSize) }, []uint64{pg(0), pg(1)}},
+		{"reads", func(as *AddressSpace) {
+			as.ReadWord(cowBase + PageSize - 4)
+			as.LoadByte(cowBase + 2*PageSize)
+			as.Read(cowBase, make([]byte, 4*PageSize))
+			as.CodeSlice(cowBase + PageSize)
+			as.Resident(cowBase)
+		}, nil},
+	} {
+		for _, shared := range []bool{false, true} {
+			name := tc.name + "/private"
+			if shared {
+				name = tc.name + "/image"
+			}
+			t.Run(name, func(t *testing.T) {
+				img, src := cowImage()
+				as, other := img.Map(), img.Map()
+				if !shared {
+					as = NewAddressSpace()
+					as.Write(cowBase, src)
+				}
+				var got []uint64
+				as.SetCodeWatch(func(pg uint64) { got = append(got, pg) })
+				// Pages 0-2 hold code; page 3 is data. Read page 0 first so
+				// the one-entry cache holds an armed page.
+				for i := uint64(0); i < 3; i++ {
+					as.WatchCode(pg(i))
+				}
+				as.ReadWord(cowBase)
+
+				tc.op(as)
+				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Fatalf("watch saw pages %#x, want %#x", got, tc.want)
+				}
+				tc.op(as)
+				if len(got) != len(tc.want) {
+					t.Errorf("watch fired again on a repeat: %#x", got[len(tc.want):])
+				}
+				if shared && !bytes.Equal(cowWindow(other), cowWindow(img.Map())) {
+					t.Error("the write showed through in the other address space")
+				}
+			})
+		}
+	}
+
+	// Arming the page the one-entry cache holds writable still makes its
+	// next write fault, a disarmed page re-arms, and arming an unmapped
+	// page does nothing.
 	as := NewAddressSpace()
-	var gotAddr uint64
-	var gotN int
-	var calls int
-	as.SetWriteWatch(func(addr uint64, n int) { gotAddr, gotN = addr, n; calls++ })
-	as.StoreByte(0x100, 1)
-	if gotAddr != 0x100 || gotN != 1 {
-		t.Errorf("watch saw (%#x,%d)", gotAddr, gotN)
+	calls := 0
+	as.SetCodeWatch(func(uint64) { calls++ })
+	as.StoreByte(0x1000, 1)
+	as.WatchCode(1)
+	as.StoreByte(0x1001, 2)
+	if calls != 1 {
+		t.Fatalf("store after arming the cached page fired %d times, want 1", calls)
 	}
-	as.WriteWord(0x200, 5)
-	if gotAddr != 0x200 || gotN != 8 {
-		t.Errorf("watch saw (%#x,%d)", gotAddr, gotN)
+	as.WatchCode(1)
+	as.WriteWord(0x1008, 3)
+	if calls != 2 {
+		t.Fatalf("a re-armed page fired %d times in all, want 2", calls)
 	}
-	as.Write(0x300, make([]byte, 100))
-	if gotAddr != 0x300 || gotN != 100 {
-		t.Errorf("watch saw (%#x,%d)", gotAddr, gotN)
+	as.WatchCode(7)
+	if as.Resident(7 * PageSize) {
+		t.Error("WatchCode allocated an unmapped page")
 	}
-	if calls != 3 {
-		t.Errorf("watch called %d times, want 3", calls)
-	}
-	// Reads must not fire the watch.
-	_ = as.ReadWord(0x200)
-	if calls != 3 {
-		t.Error("read fired write watch")
+	as.StoreByte(7*PageSize, 1)
+	if calls != 2 {
+		t.Error("WatchCode armed a page that was not mapped")
 	}
 }
 

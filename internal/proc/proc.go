@@ -21,9 +21,13 @@ import (
 	"repro/internal/obj"
 )
 
-// Memory layout constants for loader-managed regions.
+// Memory layout constants for loader-managed regions. The heap sits
+// clear of the regions internal/core maps for optimized code: version v's
+// text and jump tables at 0x2000_0000 + (v-1)·0x1000_0000 (over 32,000
+// versions fit below the heap) and the stack-live copies areas from
+// 0x1000_0000_0000 up.
 const (
-	HeapBase  = 0x4000_0000
+	HeapBase  = 0x0800_0000_0000
 	StackTop  = 0x7000_0000_0000
 	StackSize = 1 << 20 // per thread
 	StackGap  = 1 << 21 // distance between thread stacks
@@ -122,13 +126,11 @@ type Process struct {
 	// PC to its one-block trace; tracePg indexes every trace, one-block or
 	// spliced, by each code page it was decoded from — spliced traces
 	// span pages, so one store can invalidate a trace registered on
-	// several. loCodePg/hiCodePg bound the pages holding any trace so
-	// the write watch can dismiss stack and heap stores without
-	// a map lookup.
-	traces   map[uint64]*trace
-	tracePg  map[uint64][]*trace
-	loCodePg uint64
-	hiCodePg uint64
+	// several. A page is armed as a code page in Mem exactly while its
+	// tracePg list is non-empty, so only a store into one of those pages
+	// (or its unmapping) reaches dropTraces; no other store calls out.
+	traces  map[uint64]*trace
+	tracePg map[uint64][]*trace
 
 	spliceEnabled bool
 	decoded       uint64 // one-block traces decoded
@@ -162,11 +164,10 @@ func Load(bin *obj.Binary, opts Options) (*Process, error) {
 		heapCursor: HeapBase,
 		traces:     make(map[uint64]*trace),
 		tracePg:    make(map[uint64][]*trace),
-		loCodePg:   ^uint64(0),
 
 		spliceEnabled: !opts.DisableSuperblocks,
 	}
-	p.Mem.SetWriteWatch(p.invalidate)
+	p.Mem.SetCodeWatch(p.dropTraces)
 
 	for i := 0; i < opts.Threads; i++ {
 		p.StartThread(bin.Entry)
@@ -195,33 +196,10 @@ func (p *Process) StartThread(pc uint64) *Thread {
 	return t
 }
 
-// invalidate drops the traces decoded from a written range. The write
-// watch calls this on *every* store — stack pushes included — so the
-// common case must be a cheap dismissal: any range outside
-// [loCodePg, hiCodePg] (the pages holding traces) returns without
-// touching a map. Huge in-range spans (a garbage-collected code region)
-// walk the page index instead of the range.
-func (p *Process) invalidate(addr uint64, n int) {
-	first := addr / mem.PageSize
-	last := (addr + uint64(n) - 1) / mem.PageSize
-	if last < p.loCodePg || first > p.hiCodePg {
-		return
-	}
-	if last-first+1 > uint64(len(p.tracePg)) {
-		for pg := range p.tracePg {
-			if pg >= first && pg <= last {
-				p.dropTraces(pg)
-			}
-		}
-	} else {
-		for pg := first; pg <= last; pg++ {
-			p.dropTraces(pg)
-		}
-	}
-}
-
-// dropTraces invalidates every trace decoded from the given page. Traces
-// are marked invalid (the executor checks the flag after every op that
+// dropTraces invalidates every trace decoded from the given page: it is
+// Mem's code watch, called on the first store into the page since it was
+// armed (indexTrace) and when the page is unmapped. Traces are marked
+// invalid (the executor checks the flag after every op that
 // can store, so a trace invalidated by its own store stops immediately)
 // and one-block traces are unregistered so the next lookup re-decodes
 // from current bytes. A spliced trace may still sit, now invalid, in
@@ -240,17 +218,6 @@ func (p *Process) dropTraces(pg uint64) {
 		}
 	}
 	delete(p.tracePg, pg)
-}
-
-// noteCodePage widens the decoded-state page bounds used by invalidate's
-// fast dismissal. Bounds never shrink; that only costs false positives.
-func (p *Process) noteCodePage(pg uint64) {
-	if pg < p.loCodePg {
-		p.loCodePg = pg
-	}
-	if pg > p.hiCodePg {
-		p.hiCodePg = pg
-	}
 }
 
 // Region is one agent-mapped address window.

@@ -42,9 +42,10 @@ import (
 // same order — Fetch directly, Mem and Branch behind the warm paths that
 // measurably pay (cpu.MemFast, cpu.Branch*Fast; docs/perf.md) —
 // so cpu.Stats stays bit-identical to Step (internal/diffcheck's
-// cycle-exact golden gate). Correctness under code writes: any store
-// into a page a trace was decoded from invalidates it through the mem
-// write watch, and the executor re-checks valid after every op that can
+// cycle-exact golden gate). Correctness under code writes: every page a
+// trace was decoded from is write-protected in Mem as a code page, so the
+// first store into it faults into Mem's code watch, which invalidates the
+// page's traces; the executor re-checks valid after every op that can
 // store, so a trace overwriting itself stops at the next instruction
 // boundary — exactly where Step would first see the new bytes.
 
@@ -116,7 +117,7 @@ type trace struct {
 // SuperblockStats reports splicer activity for diagnostics and tests.
 type SuperblockStats struct {
 	Formed      uint64 // traces spliced
-	Invalidated uint64 // spliced traces dropped by the write watch
+	Invalidated uint64 // spliced traces dropped by the code watch
 	Insts       uint64 // instructions retired inside spliced traces
 }
 
@@ -192,7 +193,8 @@ func (p *Process) traceAt(pc uint64) (*trace, error) {
 }
 
 // indexTrace registers tr under every code page its ops were decoded
-// from, so a store into any of them invalidates it.
+// from, so a store into any of them invalidates it: a page's first trace
+// arms it in Mem as a code page, whose next write calls dropTraces.
 func (p *Process) indexTrace(tr *trace) {
 	for i := range tr.ops {
 		pg := tr.ops[i].pc / mem.PageSize
@@ -201,8 +203,10 @@ func (p *Process) indexTrace(tr *trace) {
 		}
 		// tr appends itself, so on a page it already visited it is last.
 		if l := p.tracePg[pg]; len(l) == 0 || l[len(l)-1] != tr {
+			if len(l) == 0 {
+				p.Mem.WatchCode(pg)
+			}
 			p.tracePg[pg] = append(l, tr)
-			p.noteCodePage(pg)
 		}
 	}
 }

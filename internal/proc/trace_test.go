@@ -103,7 +103,7 @@ func TestSuperblockSelfModifyingStore(t *testing.T) {
 	m.St(isa.R3, 0, isa.R2)
 	m.Halt()
 	// Push victim onto its own page so formed traces span two code pages
-	// and the write watch must track multi-page constituents.
+	// and every page they came from must stay write-protected.
 	pad := p.Func("pad")
 	pad.PadCode(mem.PageSize / isa.InstBytes)
 	pad.Ret()

@@ -39,6 +39,10 @@ fi
 if cat $(ls internal/core/*.go | grep -v _test.go) | grep -q '\.Clone()'; then
     echo "non-test internal/core calls .Clone(); the cached image is the one copy (layout.Entry)"; exit 1
 fi
+# One write-fault path in guest memory: the code watch that invalidates
+# decoded traces is called where a write faults on a code page
+# (writablePage) and where Unmap releases one, never once per store.
+[ "$(cat $(ls internal/mem/*.go | grep -v _test.go) | grep -c 'codeWatch(')" -le 2 ] || { echo "non-test internal/mem calls codeWatch( in more than two places (writablePage + Unmap); a store must not call out"; exit 1; }
 # One benchmark track: bench/ (run by BENCHMARK.json), no second harness.
 if [ -e scripts/bench.sh ] || ls BENCH_*.json >/dev/null 2>&1 || grep -rq --include='*_test.go' '_BENCH_' .; then
     echo "a second benchmark track is back (scripts/bench.sh, a root BENCH_*.json or a *_test.go reading a *_BENCH_* env var); measure in bench/"; exit 1
@@ -59,8 +63,8 @@ for fn in '(*Core).Fetch' '(*Core).MemFast' '(*Core).BranchJumpFast' '(*Core).Br
     '(*Core).BranchCondNotTakenFast' '(*Core).RetireBulk' '(*Core).Retire' '(*lbrRing).record'; do
     echo "$inlined" | grep -qxF "$fn" || { echo "$fn no longer inlines (go build -gcflags=-m ./internal/cpu)"; exit 1; }
 done
-# Guest memory's page lookups inline too: writablePage, the copy-on-write
-# miss path, stays out of line so that page does (docs/perf.md "Shared
+# Guest memory's page lookups inline too: writablePage, the write-fault
+# path (copy-on-write and code pages), stays out of line so that page does (docs/perf.md "Shared
 # image pages": with writablePage inlined, page did not inline, and
 # wave_replicas' guest_mips was about 7 % lower).
 echo "== go build -gcflags=-m ./internal/mem (page lookups inline)"
