@@ -337,7 +337,8 @@ func TestLowerErrors(t *testing.T) {
 func TestLinkErrors(t *testing.T) {
 	frag := &Fragment{
 		Name:   "f",
-		Insts:  []FInst{{I: isa.Inst{Op: isa.CALL}, Callee: "missing"}, {I: isa.Inst{Op: isa.RET}}},
+		Code:   code(isa.Inst{Op: isa.CALL}, isa.Inst{Op: isa.RET}),
+		Relocs: []Reloc{{At: 0, Sym: "missing"}},
 		Blocks: []int{0},
 	}
 	_, err := Link(LinkInput{
@@ -349,7 +350,7 @@ func TestLinkErrors(t *testing.T) {
 	}
 
 	// Duplicate fragments.
-	ret := &Fragment{Name: "g", Insts: []FInst{{I: isa.Inst{Op: isa.RET}}}, Blocks: []int{0}}
+	ret := &Fragment{Name: "g", Code: code(isa.Inst{Op: isa.RET}), Blocks: []int{0}}
 	_, err = Link(LinkInput{
 		Name: "t",
 		Placements: []Placement{
@@ -373,16 +374,14 @@ func TestLinkErrors(t *testing.T) {
 
 func TestColdFragmentAttachment(t *testing.T) {
 	hot := &Fragment{
-		Name: "f",
-		Insts: []FInst{
-			{I: isa.Inst{Op: isa.JCC, Cond: isa.EQ}, Target: &Ref{Frag: "f" + ColdSuffix, Index: 0}},
-			{I: isa.Inst{Op: isa.RET}},
-		},
+		Name:   "f",
+		Code:   code(isa.Inst{Op: isa.JCC, Cond: isa.EQ}, isa.Inst{Op: isa.RET}),
+		Relocs: []Reloc{{At: 0, Sym: "f" + ColdSuffix, Index: 0}},
 		Blocks: []int{0},
 	}
 	cold := &Fragment{
 		Name:   "f" + ColdSuffix,
-		Insts:  []FInst{{I: isa.Inst{Op: isa.RET}}},
+		Code:   code(isa.Inst{Op: isa.RET}),
 		Blocks: []int{0},
 	}
 	b, err := Link(LinkInput{
@@ -413,7 +412,7 @@ func TestColdFragmentAttachment(t *testing.T) {
 }
 
 func TestLinkMoreErrors(t *testing.T) {
-	ret := &Fragment{Name: "g", Insts: []FInst{{I: isa.Inst{Op: isa.RET}}}, Blocks: []int{0}}
+	ret := &Fragment{Name: "g", Code: code(isa.Inst{Op: isa.RET}), Blocks: []int{0}}
 
 	// Undefined entry symbol.
 	if _, err := Link(LinkInput{
@@ -435,9 +434,10 @@ func TestLinkMoreErrors(t *testing.T) {
 	}
 
 	// Duplicate jump-table names across fragments.
-	j1 := &Fragment{Name: "a", Insts: []FInst{{I: isa.Inst{Op: isa.JTBL, Rs1: isa.R0}, JT: "tbl"}},
+	jtbl := code(isa.Inst{Op: isa.JTBL, Rs1: isa.R0})
+	j1 := &Fragment{Name: "a", Code: jtbl, Relocs: []Reloc{{At: 0, Sym: "tbl"}},
 		Blocks: []int{0}, JTs: []JTable{{Name: "tbl", Entries: []Ref{{Frag: "a", Index: 0}}}}}
-	j2 := &Fragment{Name: "b", Insts: []FInst{{I: isa.Inst{Op: isa.JTBL, Rs1: isa.R0}, JT: "tbl"}},
+	j2 := &Fragment{Name: "b", Code: jtbl, Relocs: []Reloc{{At: 0, Sym: "tbl"}},
 		Blocks: []int{0}, JTs: []JTable{{Name: "tbl", Entries: []Ref{{Frag: "b", Index: 0}}}}}
 	if _, err := Link(LinkInput{
 		Name: "t",
@@ -451,9 +451,8 @@ func TestLinkMoreErrors(t *testing.T) {
 	}
 
 	// Ref to out-of-range instruction.
-	bad := &Fragment{Name: "h", Insts: []FInst{
-		{I: isa.Inst{Op: isa.JMP}, Target: &Ref{Frag: "h", Index: 99}},
-	}, Blocks: []int{0}}
+	bad := &Fragment{Name: "h", Code: code(isa.Inst{Op: isa.JMP}),
+		Relocs: []Reloc{{At: 0, Sym: "h", Index: 99}}, Blocks: []int{0}}
 	if _, err := Link(LinkInput{
 		Name:       "t",
 		Placements: []Placement{{Frag: bad, Addr: DefaultTextBase, Section: obj.SecText}},
@@ -463,19 +462,25 @@ func TestLinkMoreErrors(t *testing.T) {
 }
 
 func TestFragmentValidateErrors(t *testing.T) {
-	// Blocks not starting at 0.
-	f := &Fragment{Name: "x", Insts: []FInst{{I: isa.Inst{Op: isa.RET}}}, Blocks: []int{1}}
-	if err := f.Validate(); err == nil {
-		t.Error("bad block start accepted")
+	ret := code(isa.Inst{Op: isa.RET})
+	cases := map[string]*Fragment{
+		"block list not starting at 0": {Code: ret, Blocks: []int{1}},
+		"partial instruction":          {Code: append(code(isa.Inst{Op: isa.RET}), 0), Blocks: []int{0}},
+		"relocation on a RET":          {Code: ret, Relocs: []Reloc{{At: 0, Sym: "g"}}, Blocks: []int{0}},
+		"relocation past the end":      {Code: code(isa.Inst{Op: isa.CALL}), Relocs: []Reloc{{At: 1, Sym: "g"}}, Blocks: []int{0}},
+		"relocations out of order": {
+			Code:   code(isa.Inst{Op: isa.CALL}, isa.Inst{Op: isa.CALL}),
+			Relocs: []Reloc{{At: 1, Sym: "g"}, {At: 0, Sym: "g"}},
+			Blocks: []int{0},
+		},
 	}
-	// JMP without target.
-	f2 := &Fragment{Name: "x", Insts: []FInst{{I: isa.Inst{Op: isa.JMP}}}, Blocks: []int{0}}
-	if err := f2.Validate(); err == nil {
-		t.Error("JMP without target accepted")
-	}
-	// JTBL without table name.
-	f3 := &Fragment{Name: "x", Insts: []FInst{{I: isa.Inst{Op: isa.JTBL}}}, Blocks: []int{0}}
-	if err := f3.Validate(); err == nil {
-		t.Error("JTBL without table accepted")
+	for name, f := range cases {
+		f.Name = "x"
+		if err := f.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
+
+// code encodes instructions into a fragment's Code.
+func code(insts ...isa.Inst) []byte { return isa.EncodeAll(insts) }

@@ -54,11 +54,11 @@ type LinkInput struct {
 	AddrMap      map[uint64]uint64
 }
 
-// Link resolves all symbolic operands, encodes every fragment at its
-// placement address, materializes jump tables and v-tables, and returns a
+// Link copies every fragment to its placement address, resolves its
+// relocations, materializes jump tables and v-tables, and returns a
 // validated binary.
 func Link(in LinkInput) (*obj.Binary, error) {
-	// Symbol table: fragment name → address. Cold fragments are address
+	// Symbol table: fragment name → placement. Cold fragments are address
 	// targets for branches but not call targets; include them anyway (a
 	// name can only be referenced by the matching operand kind). The same
 	// pass sizes each code section from its placements' extent, so its
@@ -68,7 +68,6 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		data   []byte
 	}
 	secs := make(map[string]*codeSection)
-	syms := make(map[string]uint64, len(in.Placements))
 	frags := make(map[string]*Placement, len(in.Placements))
 	for i := range in.Placements {
 		p := &in.Placements[i]
@@ -82,7 +81,6 @@ func Link(in LinkInput) (*obj.Binary, error) {
 			return nil, err
 		}
 		frags[p.Frag.Name] = p
-		syms[p.Frag.Name] = p.Addr
 		end := p.Addr + p.Frag.Size()
 		if si := secs[p.Section]; si == nil {
 			secs[p.Section] = &codeSection{lo: p.Addr, hi: end}
@@ -99,7 +97,7 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		if !ok {
 			return 0, fmt.Errorf("asm: unresolved fragment ref %q", r.Frag)
 		}
-		if r.Index < 0 || r.Index >= len(p.Frag.Insts) {
+		if r.Index < 0 || uint64(r.Index)*isa.InstBytes >= p.Frag.Size() {
 			return 0, fmt.Errorf("asm: ref %s[%d] out of range", r.Frag, r.Index)
 		}
 		return p.Addr + uint64(r.Index)*isa.InstBytes, nil
@@ -125,42 +123,41 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		}
 	}
 
-	// Encode each fragment in place in its section's image, in placement
-	// order (a later placement overwrites an earlier one it overlaps).
+	// Copy each fragment into its section's image and patch its
+	// relocations there, in placement order (a later placement overwrites
+	// an earlier one it overlaps).
 	for _, p := range in.Placements {
 		si := secs[p.Section]
 		code := si.data[p.Addr-si.lo:]
-		for i, fi := range p.Frag.Insts {
-			inst := fi.I
-			pc := p.Addr + uint64(i)*isa.InstBytes
-			next := pc + isa.InstBytes
-			switch inst.Op {
+		copy(code, p.Frag.Code)
+		for _, r := range p.Frag.Relocs {
+			at := r.At * isa.InstBytes
+			next := p.Addr + uint64(at) + isa.InstBytes
+			var imm int64
+			switch op := isa.OpOf(code[at:]); op {
 			case isa.JMP, isa.JCC:
-				t, err := refAddr(*fi.Target)
+				t, err := refAddr(Ref{Frag: r.Sym, Index: r.Index})
 				if err != nil {
-					return nil, fmt.Errorf("asm: %s inst %d: %w", p.Frag.Name, i, err)
+					return nil, fmt.Errorf("asm: %s inst %d: %w", p.Frag.Name, r.At, err)
 				}
-				inst.Imm = int64(t) - int64(next)
-			case isa.CALL:
-				t, ok := syms[fi.Callee]
+				imm = int64(t - next)
+			case isa.CALL, isa.FPTR:
+				sp, ok := frags[r.Sym]
 				if !ok {
-					return nil, fmt.Errorf("asm: %s inst %d: undefined function %q", p.Frag.Name, i, fi.Callee)
+					return nil, fmt.Errorf("asm: %s inst %d: undefined function %q", p.Frag.Name, r.At, r.Sym)
 				}
-				inst.Imm = int64(t) - int64(next)
-			case isa.FPTR:
-				t, ok := syms[fi.Callee]
-				if !ok {
-					return nil, fmt.Errorf("asm: %s inst %d: undefined function %q", p.Frag.Name, i, fi.Callee)
+				imm = int64(sp.Addr)
+				if op == isa.CALL {
+					imm = int64(sp.Addr - next)
 				}
-				inst.Imm = int64(t)
 			case isa.JTBL:
-				loc, ok := jts[fi.JT]
+				loc, ok := jts[r.Sym]
 				if !ok {
-					return nil, fmt.Errorf("asm: %s inst %d: undefined jump table %q", p.Frag.Name, i, fi.JT)
+					return nil, fmt.Errorf("asm: %s inst %d: undefined jump table %q", p.Frag.Name, r.At, r.Sym)
 				}
-				inst.Imm = int64(loc.addr)
+				imm = int64(loc.addr)
 			}
-			inst.Encode(code[i*isa.InstBytes:])
+			isa.SetImm(code[at:], imm)
 		}
 	}
 
@@ -215,12 +212,12 @@ func Link(in LinkInput) (*obj.Binary, error) {
 		for _, vt := range in.VTables {
 			slots := make([]uint64, len(vt.Slots))
 			for i, fn := range vt.Slots {
-				addr, ok := syms[fn]
+				sp, ok := frags[fn]
 				if !ok {
 					return nil, fmt.Errorf("asm: vtable %s slot %d: undefined function %q", vt.Name, i, fn)
 				}
-				slots[i] = addr
-				binary.LittleEndian.PutUint64(data[vt.Off+uint64(i)*8:], addr)
+				slots[i] = sp.Addr
+				binary.LittleEndian.PutUint64(data[vt.Off+uint64(i)*8:], sp.Addr)
 			}
 			b.VTables = append(b.VTables, &obj.VTable{Name: vt.Name, Addr: in.DataBase + vt.Off, Slots: slots})
 		}
@@ -232,19 +229,17 @@ func Link(in LinkInput) (*obj.Binary, error) {
 
 	// Function symbols: hot fragments become functions; cold fragments
 	// attach to their owners.
+	b.Funcs = make([]*obj.Func, 0, len(in.Placements))
 	for _, p := range in.Placements {
 		if isColdName(p.Frag.Name) {
 			continue
 		}
-		spans := p.Frag.BlockSpans()
 		f := &obj.Func{
 			Name:      p.Frag.Name,
 			Addr:      p.Addr,
 			Size:      p.Frag.Size(),
+			Blocks:    p.Frag.BlockSpans(),
 			Optimized: p.Optimized,
-		}
-		for _, s := range spans {
-			f.Blocks = append(f.Blocks, obj.BlockSpan{Off: s.Off, Size: s.Size})
 		}
 		if cp, ok := frags[p.Frag.Name+ColdSuffix]; ok {
 			f.ColdAddr = cp.Addr
@@ -255,11 +250,11 @@ func Link(in LinkInput) (*obj.Binary, error) {
 	b.SortFuncs()
 
 	if in.Entry != "" {
-		addr, ok := syms[in.Entry]
+		sp, ok := frags[in.Entry]
 		if !ok {
 			return nil, fmt.Errorf("asm: undefined entry function %q", in.Entry)
 		}
-		b.Entry = addr
+		b.Entry = sp.Addr
 	}
 
 	if err := b.Validate(); err != nil {

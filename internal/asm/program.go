@@ -76,9 +76,11 @@ type Program struct {
 	NoJumpTables bool
 }
 
-// Lower converts a function to a fragment, resolving block labels to
-// instruction indexes and inserting fall-through jumps where needed.
-// dataSyms maps global/v-table names to addresses for MOVI materialization.
+// Lower encodes a function into a fragment: it resolves block labels to
+// PC-relative branches, inserts fall-through jumps where needed, and
+// leaves calls, function pointers and jump-table references to the linker
+// as relocations. dataSyms maps global/v-table names to addresses for MOVI
+// materialization.
 func (fn *Func) Lower(dataSyms map[string]uint64) (*Fragment, error) {
 	if len(fn.Blocks) == 0 {
 		return nil, fmt.Errorf("asm: function %s has no blocks", fn.Name)
@@ -117,63 +119,74 @@ func (fn *Func) Lower(dataSyms map[string]uint64) (*Fragment, error) {
 		idx += n
 	}
 
-	ref := func(label string) (*Ref, error) {
+	start := func(label string) (int, error) {
 		s, ok := starts[label]
 		if !ok {
-			return nil, fmt.Errorf("asm: function %s: undefined label %q", fn.Name, label)
+			return 0, fmt.Errorf("asm: function %s: undefined label %q", fn.Name, label)
 		}
-		return &Ref{Frag: fn.Name, Index: s}, nil
+		return s, nil
 	}
 
-	// Second pass: emit. Empty pass-through blocks produce no span.
+	// Second pass: encode, resolving intra-function branches in place.
+	// Empty pass-through blocks produce no span.
+	frag.Code = make([]byte, idx*isa.InstBytes)
+	k := 0 // instruction index
+	branch := func(in isa.Inst, label string) error {
+		s, err := start(label)
+		if err != nil {
+			return err
+		}
+		in.Imm = int64(s-k-1) * isa.InstBytes
+		in.Encode(frag.Code[k*isa.InstBytes:])
+		k++
+		return nil
+	}
 	for bi, blk := range fn.Blocks {
 		if len(blk.Insts) > 0 || needJmp[bi] {
 			frag.Blocks = append(frag.Blocks, starts[blk.Label])
 		}
 		for _, ai := range blk.Insts {
-			fi := FInst{I: ai.Inst}
+			in := ai.Inst
 			switch ai.Op {
 			case isa.JMP, isa.JCC:
-				r, err := ref(ai.TargetLabel)
-				if err != nil {
+				if err := branch(in, ai.TargetLabel); err != nil {
 					return nil, err
 				}
-				fi.Target = r
+				continue
 			case isa.CALL, isa.FPTR:
 				if ai.Callee == "" {
 					return nil, fmt.Errorf("asm: function %s: %s without callee", fn.Name, ai.Op)
 				}
-				fi.Callee = ai.Callee
+				frag.Relocs = append(frag.Relocs, Reloc{At: k, Sym: ai.Callee})
 			case isa.JTBL:
-				fi.JT = ai.JTName
+				frag.Relocs = append(frag.Relocs, Reloc{At: k, Sym: ai.JTName})
 			case isa.MOVI:
 				if ai.DataSym != "" {
 					addr, ok := dataSyms[ai.DataSym]
 					if !ok {
 						return nil, fmt.Errorf("asm: function %s: undefined data symbol %q", fn.Name, ai.DataSym)
 					}
-					fi.I.Imm = int64(addr)
+					in.Imm = int64(addr)
 				}
 			}
-			frag.Insts = append(frag.Insts, fi)
+			in.Encode(frag.Code[k*isa.InstBytes:])
+			k++
 		}
 		if needJmp[bi] {
-			r, err := ref(blk.Fall)
-			if err != nil {
+			if err := branch(isa.Inst{Op: isa.JMP}, blk.Fall); err != nil {
 				return nil, err
 			}
-			frag.Insts = append(frag.Insts, FInst{I: isa.Inst{Op: isa.JMP}, Target: r})
 		}
 	}
 
 	for _, jt := range fn.JumpTables {
 		t := JTable{Name: jt.Name}
 		for _, label := range jt.Labels {
-			r, err := ref(label)
+			s, err := start(label)
 			if err != nil {
 				return nil, err
 			}
-			t.Entries = append(t.Entries, *r)
+			t.Entries = append(t.Entries, Ref{Frag: fn.Name, Index: s})
 		}
 		frag.JTs = append(frag.JTs, t)
 	}

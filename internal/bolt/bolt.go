@@ -107,9 +107,10 @@ func (r *Result) TraceAttrs() []trace.Attr {
 	}
 }
 
-// Optimize runs the full pipeline: reconstruct CFGs, attach the profile,
-// reorder blocks, split hot/cold, reorder functions, and re-link. The
-// input binary is not modified.
+// Optimize runs the full pipeline: lift the hot functions into CFGs,
+// attach the profile, reorder blocks, split hot/cold, reorder functions,
+// relocate every other function in place, and re-link. The input binary
+// is not modified.
 func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 	opts.defaults()
 	if bin.Bolted && !opts.AllowReBolt {
@@ -119,18 +120,8 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("bolt: empty profile")
 	}
 
-	// Hot set: profiled functions that decode cleanly.
+	// Hot set: profiled functions the binary still has.
 	hot := prof.HotFunctions(opts.MinRecords)
-	cfgs := make(map[uint64]*CFG, len(bin.Funcs))
-	for _, fn := range bin.Funcs {
-		cfg, err := BuildCFG(bin, fn)
-		if err != nil {
-			return nil, err
-		}
-		cfg.AttachProfile(prof.Funcs[fn.Addr])
-		cfgs[fn.Addr] = cfg
-	}
-
 	sizeOf := make(map[uint64]uint64, len(hot))
 	for entry := range hot {
 		if fn := bin.FuncAt(entry); fn != nil {
@@ -149,8 +140,12 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 	var hotFrags, coldFrags []*asm.Fragment
 	osrMap := make(map[uint64][]obj.OSRPoint, len(hotOrder))
 	for _, entry := range hotOrder {
-		cfg := cfgs[entry]
+		cfg, err := BuildCFG(bin, bin.FuncAt(entry))
+		if err != nil {
+			return nil, err
+		}
 		fp := prof.Funcs[entry]
+		cfg.AttachProfile(fp)
 		var order []int
 		if opts.NoReorderBlocks || cfg.HasJumpTable {
 			order = identityOrder(len(cfg.Blocks))
@@ -175,15 +170,14 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 		res.FuncsReordered++
 	}
 
-	// Unmoved functions: re-emit in place (identity layout) so their calls
-	// resolve to the new locations of moved callees.
+	// Unmoved functions: relocate from their input bytes, unlifted, so
+	// their calls resolve to the new locations of moved callees.
 	var pinned []asm.Placement
 	for _, fn := range bin.Funcs {
 		if hot[fn.Addr] {
 			continue
 		}
-		cfg := cfgs[fn.Addr]
-		hf, _, _, err := emitFunc(cfg, identityOrder(len(cfg.Blocks)), nil, bin, false)
+		hf, err := relocate(bin, fn)
 		if err != nil {
 			return nil, err
 		}

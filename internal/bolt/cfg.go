@@ -59,92 +59,125 @@ func UnifiedOff(fn *obj.Func, addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// BuildCFG disassembles the function from the binary image and
-// reconstructs basic blocks: leaders are the entry, branch targets, and
-// fallthrough points after control flow, exactly as a binary lifter finds
-// them.
-func BuildCFG(bin *obj.Binary, fn *obj.Func) (*CFG, error) {
-	raw, err := bin.Bytes(fn.Addr, int(fn.Size))
+// funcCode is a function's input code as one unified instruction stream:
+// the hot range, then the exiled cold range of a split function.
+type funcCode struct {
+	fn        *obj.Func
+	hot, cold []byte
+	nHot, n   int // instructions in the hot range, in both ranges
+}
+
+// readFunc reads fn's code ranges out of the binary image (borrowing it).
+func readFunc(bin *obj.Binary, fn *obj.Func) (*funcCode, error) {
+	hot, err := bin.Bytes(fn.Addr, int(fn.Size))
 	if err != nil {
 		return nil, fmt.Errorf("bolt: reading %s: %w", fn.Name, err)
 	}
-	insts, err := isa.DecodeAll(raw)
-	if err != nil {
-		return nil, fmt.Errorf("bolt: decoding %s: %w", fn.Name, err)
-	}
-	nHot := len(insts)
-	if nHot == 0 {
+	c := &funcCode{fn: fn, hot: hot, nHot: len(hot) / isa.InstBytes}
+	if c.nHot == 0 {
 		return nil, fmt.Errorf("bolt: function %s is empty", fn.Name)
 	}
 	if fn.ColdSize > 0 {
-		rawCold, err := bin.Bytes(fn.ColdAddr, int(fn.ColdSize))
-		if err != nil {
+		if c.cold, err = bin.Bytes(fn.ColdAddr, int(fn.ColdSize)); err != nil {
 			return nil, fmt.Errorf("bolt: reading %s cold part: %w", fn.Name, err)
 		}
-		coldInsts, err := isa.DecodeAll(rawCold)
-		if err != nil {
-			return nil, fmt.Errorf("bolt: decoding %s cold part: %w", fn.Name, err)
-		}
-		insts = append(insts, coldInsts...)
 	}
-	n := len(insts)
+	c.n = c.nHot + len(c.cold)/isa.InstBytes
+	return c, nil
+}
 
-	// pcOf maps instruction index to its original absolute address.
-	pcOf := func(i int) uint64 {
-		if i < nHot {
-			return fn.Addr + uint64(i)*isa.InstBytes
-		}
-		return fn.ColdAddr + uint64(i-nHot)*isa.InstBytes
+// word returns the encoding of instruction i.
+func (c *funcCode) word(i int) []byte {
+	if i < c.nHot {
+		return c.hot[i*isa.InstBytes:]
 	}
-	// idxFor maps a branch target address to an instruction index.
-	idxFor := func(tgt uint64) (int, bool) {
-		off, ok := UnifiedOff(fn, tgt)
-		if !ok || off%isa.InstBytes != 0 {
-			return 0, false
-		}
-		return int(off) / isa.InstBytes, true
-	}
+	return c.cold[(i-c.nHot)*isa.InstBytes:]
+}
 
-	// Collect jump tables owned by this function.
+// decode decodes instruction i.
+func (c *funcCode) decode(i int) (isa.Inst, error) {
+	in, err := isa.Decode(c.word(i))
+	if err != nil {
+		return in, fmt.Errorf("bolt: decoding %s: at %#x: %w", c.fn.Name, c.pc(i), err)
+	}
+	return in, nil
+}
+
+// pc maps instruction index i to its original absolute address.
+func (c *funcCode) pc(i int) uint64 {
+	if i < c.nHot {
+		return c.fn.Addr + uint64(i)*isa.InstBytes
+	}
+	return c.fn.ColdAddr + uint64(i-c.nHot)*isa.InstBytes
+}
+
+// index maps an address to the index of the instruction starting there;
+// ok is false when no instruction of the function does.
+func (c *funcCode) index(addr uint64) (int, bool) {
+	off, ok := UnifiedOff(c.fn, addr)
+	if !ok || off%isa.InstBytes != 0 {
+		return 0, false
+	}
+	return int(off) / isa.InstBytes, true
+}
+
+// target resolves the JMP/JCC at index i with displacement imm to the
+// index of the instruction it branches to.
+func (c *funcCode) target(i int, imm int64) (int, error) {
+	ti, ok := c.index(uint64(int64(c.pc(i)) + isa.InstBytes + imm))
+	if !ok {
+		return 0, fmt.Errorf("bolt: %s: branch at %#x leaves function", c.fn.Name, c.pc(i))
+	}
+	return ti, nil
+}
+
+// ownedJumpTables returns the jump tables fn dispatches through.
+func ownedJumpTables(bin *obj.Binary, fn *obj.Func) []*obj.JumpTable {
 	var jts []*obj.JumpTable
 	for _, jt := range bin.JumpTables {
 		if jt.Owner == fn.Name {
 			jts = append(jts, jt)
 		}
 	}
+	return jts
+}
+
+// BuildCFG disassembles the function from the binary image and
+// reconstructs basic blocks: leaders are the entry, branch targets, and
+// fallthrough points after control flow, exactly as a binary lifter finds
+// them.
+func BuildCFG(bin *obj.Binary, fn *obj.Func) (*CFG, error) {
+	c, err := readFunc(bin, fn)
+	if err != nil {
+		return nil, err
+	}
+	n := c.n
+	insts := make([]isa.Inst, n)
+	for i := range insts {
+		if insts[i], err = c.decode(i); err != nil {
+			return nil, err
+		}
+	}
+	jts := ownedJumpTables(bin, fn)
 
 	// Leaders.
-	leader := make([]bool, n)
-	leader[0] = true
-	if nHot < n {
-		leader[nHot] = true // cold range start
-	}
-	branchTargetIdx := make([]int, n)
-	for i := range branchTargetIdx {
-		branchTargetIdx[i] = -1
-	}
+	leader := make([]bool, n+1) // leader[n] is a sentinel
+	leader[0], leader[c.nHot], leader[n] = true, true, true
 	for i, in := range insts {
 		switch in.Op {
 		case isa.JMP, isa.JCC:
-			tgt := uint64(int64(pcOf(i)) + isa.InstBytes + in.Imm)
-			ti, ok := idxFor(tgt)
-			if !ok {
-				return nil, fmt.Errorf("bolt: %s: branch at %#x leaves function", fn.Name, pcOf(i))
+			ti, err := c.target(i, in.Imm)
+			if err != nil {
+				return nil, err
 			}
-			leader[ti] = true
-			branchTargetIdx[i] = ti
-			if i+1 < n {
-				leader[i+1] = true
-			}
+			leader[ti], leader[i+1] = true, true
 		case isa.RET, isa.HALT, isa.JTBL:
-			if i+1 < n {
-				leader[i+1] = true
-			}
+			leader[i+1] = true
 		}
 	}
 	for _, jt := range jts {
 		for _, tgt := range jt.Targets {
-			ti, ok := idxFor(tgt)
+			ti, ok := c.index(tgt)
 			if !ok {
 				return nil, fmt.Errorf("bolt: %s: jump table target %#x outside function", fn.Name, tgt)
 			}
@@ -154,42 +187,42 @@ func BuildCFG(bin *obj.Binary, fn *obj.Func) (*CFG, error) {
 
 	// Blocks.
 	cfg := &CFG{Fn: fn, HasJumpTable: len(jts) > 0}
-	idxOf := make([]int, n) // inst index → block index
 	for i := 0; i < n; {
 		start := i
-		for i++; i < n && !leader[i]; i++ {
+		for i++; !leader[i]; i++ {
 		}
-		b := &BB{
+		cfg.Blocks = append(cfg.Blocks, &BB{
 			Index:      len(cfg.Blocks),
 			Off:        uint32(start * isa.InstBytes),
-			Addr:       pcOf(start),
+			Addr:       c.pc(start),
 			Insts:      insts[start:i],
 			CondTarget: -1,
 			FallTo:     -1,
-		}
-		for j := start; j < i; j++ {
-			idxOf[j] = b.Index
-		}
-		cfg.Blocks = append(cfg.Blocks, b)
-		cfg.offs = append(cfg.offs, b.Off)
+		})
+		cfg.offs = append(cfg.offs, uint32(start*isa.InstBytes))
 	}
 
 	// Successors. Physical fallthrough exists only within one range, so a
 	// block ending at the hot/cold boundary must terminate (guaranteed by
-	// how fragments are emitted); we still guard against it.
+	// how fragments are emitted); we still guard against it. Branch and
+	// jump-table targets were checked above and start blocks.
+	blockOf := func(addr uint64) int {
+		off, _ := UnifiedOff(fn, addr)
+		return cfg.BlockAt(off)
+	}
 	hotColdBoundary := -1
-	if nHot < n {
-		hotColdBoundary = idxOf[nHot]
+	if c.nHot < n {
+		hotColdBoundary = cfg.BlockAt(uint64(c.nHot) * isa.InstBytes)
 	}
 	for bi, b := range cfg.Blocks {
-		lastIdx := int(b.Off)/isa.InstBytes + len(b.Insts) - 1
 		term := b.Terminator()
 		fallOK := bi+1 < len(cfg.Blocks) && bi+1 != hotColdBoundary
 		switch term.Op {
-		case isa.JMP:
-			b.CondTarget = idxOf[branchTargetIdx[lastIdx]]
-		case isa.JCC:
-			b.CondTarget = idxOf[branchTargetIdx[lastIdx]]
+		case isa.JMP, isa.JCC:
+			b.CondTarget = blockOf(uint64(int64(b.Addr) + int64(len(b.Insts))*isa.InstBytes + term.Imm))
+			if term.Op == isa.JMP {
+				break
+			}
 			if !fallOK {
 				return nil, fmt.Errorf("bolt: %s: conditional branch falls off a code range", fn.Name)
 			}
@@ -202,9 +235,7 @@ func BuildCFG(bin *obj.Binary, fn *obj.Func) (*CFG, error) {
 					continue
 				}
 				for _, tgt := range jt.Targets {
-					ti, _ := idxFor(tgt)
-					bidx := idxOf[ti]
-					if !seen[bidx] {
+					if bidx := blockOf(tgt); !seen[bidx] {
 						seen[bidx] = true
 						b.JTTargets = append(b.JTTargets, bidx)
 					}

@@ -9,18 +9,18 @@ import (
 	"repro/internal/obj"
 )
 
-// emitFunc lowers one function with the chosen hot/cold block layout into
-// fragments with symbolic operands, performing the branch fixups the new
-// adjacency requires:
+// emitFunc encodes one lifted function with the chosen hot/cold block
+// layout into fragments, performing the branch fixups the new adjacency
+// requires:
 //
 //   - a JMP whose target became the next block is deleted
 //   - a JCC whose taken target became the next block is inverted, making
 //     the hot edge a fallthrough (the taken-branch reduction of Figure 2)
 //   - a block whose fallthrough moved away gains a JMP
 //
-// Calls and FPTRs are rewritten to symbolic callee names so the linker
-// re-resolves them to the final function addresses; jump tables become
-// symbolic block references.
+// Branches within a fragment are encoded final; hot↔cold branches, calls,
+// FPTRs and JTBLs become relocations the linker resolves to the final
+// addresses; jump tables become block references.
 //
 // Alongside the fragments, emitFunc collects the function's OSR map: the
 // mappable points — entry, loop headers (backward-edge targets), CALL
@@ -108,9 +108,9 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 		}
 		fragLen[li] = idx
 	}
-	ref := func(bi int) *asm.Ref {
+	ref := func(bi int) asm.Ref {
 		p := &plans[bi]
-		return &asm.Ref{Frag: names[p.frag], Index: p.index}
+		return asm.Ref{Frag: names[p.frag], Index: p.index}
 	}
 	// newOff maps an emitted instruction index to its unified offset in the
 	// new layout (cold instructions continue past the hot fragment).
@@ -148,7 +148,7 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 		}
 	}
 
-	// Pass 3: emit.
+	// Pass 3: encode.
 	frags := [2]*asm.Fragment{}
 	for li, order := range layouts {
 		if li == 1 && len(order) == 0 {
@@ -156,14 +156,29 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 		}
 		frag := &asm.Fragment{
 			Name:   names[li],
-			Insts:  make([]asm.FInst, 0, fragLen[li]),
+			Code:   make([]byte, fragLen[li]*isa.InstBytes),
 			Blocks: make([]int, 0, len(order)),
+		}
+		k := 0 // emitted instruction index
+		// branch points the JMP/JCC at index k to block bi: encoded final
+		// inside this fragment, a relocation into the other one.
+		branch := func(in *isa.Inst, bi int) {
+			if r := ref(bi); r.Frag == frag.Name {
+				in.Imm = int64(r.Index-k-1) * isa.InstBytes
+			} else {
+				frag.Relocs = append(frag.Relocs, asm.Reloc{At: k, Sym: r.Frag, Index: r.Index})
+			}
+		}
+		reloc := func(sym string) { frag.Relocs = append(frag.Relocs, asm.Reloc{At: k, Sym: sym}) }
+		put := func(in isa.Inst) {
+			in.Encode(frag.Code[k*isa.InstBytes:])
+			k++
 		}
 		for _, bi := range order {
 			b := cfg.Blocks[bi]
 			p := &plans[bi]
 			if p.count > 0 {
-				frag.Blocks = append(frag.Blocks, len(frag.Insts))
+				frag.Blocks = append(frag.Blocks, k)
 			}
 			nInsts := len(b.Insts)
 			if p.dropJmp {
@@ -175,23 +190,22 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 					continue
 				}
 				origPC := b.Addr + uint64(j)*isa.InstBytes
-				fi := asm.FInst{I: in}
 				isLast := j == len(b.Insts)-1
 				switch in.Op {
 				case isa.JMP:
 					if !isLast {
 						return nil, nil, nil, fmt.Errorf("bolt: %s: JMP mid-block", fn.Name)
 					}
-					fi.Target = ref(b.CondTarget)
+					branch(&in, b.CondTarget)
 				case isa.JCC:
 					if !isLast {
 						return nil, nil, nil, fmt.Errorf("bolt: %s: JCC mid-block", fn.Name)
 					}
 					if p.invert {
-						fi.I.Cond = in.Cond.Negate()
-						fi.Target = ref(b.FallTo)
+						in.Cond = in.Cond.Negate()
+						branch(&in, b.FallTo)
 					} else {
-						fi.Target = ref(b.CondTarget)
+						branch(&in, b.CondTarget)
 					}
 				case isa.CALL:
 					calleeAddr := uint64(int64(origPC) + isa.InstBytes + in.Imm)
@@ -199,33 +213,34 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 					if callee == nil {
 						return nil, nil, nil, fmt.Errorf("bolt: %s: call at %#x targets non-entry %#x", fn.Name, origPC, calleeAddr)
 					}
-					fi.Callee = callee.Name
+					reloc(callee.Name)
 					// A CALL always has a following emitted instruction in
 					// its fragment: its block either falls through to the
 					// physically next block or gains a fixup JMP, so the
 					// return point after the CALL is a valid OSR target.
-					callIdx := len(frag.Insts)
 					callOld := uint64(b.Off) + uint64(j)*isa.InstBytes
 					osr = append(osr,
-						obj.OSRPoint{OldOff: callOld, NewOff: newOff(li, callIdx), Kind: obj.OSRCallSite},
-						obj.OSRPoint{OldOff: callOld + isa.InstBytes, NewOff: newOff(li, callIdx+1), Kind: obj.OSRRetPoint})
+						obj.OSRPoint{OldOff: callOld, NewOff: newOff(li, k), Kind: obj.OSRCallSite},
+						obj.OSRPoint{OldOff: callOld + isa.InstBytes, NewOff: newOff(li, k+1), Kind: obj.OSRRetPoint})
 				case isa.FPTR:
 					callee := bin.FuncAt(uint64(in.Imm))
 					if callee == nil {
 						return nil, nil, nil, fmt.Errorf("bolt: %s: FPTR at %#x targets non-entry %#x", fn.Name, origPC, uint64(in.Imm))
 					}
-					fi.Callee = callee.Name
+					reloc(callee.Name)
 				case isa.JTBL:
 					jt := jumpTableAt(bin, uint64(in.Imm))
 					if jt == nil {
 						return nil, nil, nil, fmt.Errorf("bolt: %s: unknown jump table %#x", fn.Name, uint64(in.Imm))
 					}
-					fi.JT = jt.Name
+					reloc(jt.Name)
 				}
-				frag.Insts = append(frag.Insts, fi)
+				put(in)
 			}
 			if p.addJmp >= 0 {
-				frag.Insts = append(frag.Insts, asm.FInst{I: isa.Inst{Op: isa.JMP}, Target: ref(p.addJmp)})
+				in := isa.Inst{Op: isa.JMP}
+				branch(&in, p.addJmp)
+				put(in)
 			}
 		}
 		frags[li] = frag
@@ -233,18 +248,15 @@ func emitFunc(cfg *CFG, hotOrder, coldOrder []int, bin *obj.Binary, peephole boo
 
 	// Attach the function's jump tables to the hot fragment with re-derived
 	// block references.
-	for _, jt := range bin.JumpTables {
-		if jt.Owner != fn.Name {
-			continue
-		}
+	for _, jt := range ownedJumpTables(bin, fn) {
 		t := asm.JTable{Name: jt.Name}
 		for _, tgt := range jt.Targets {
-			bi := cfg.BlockAt(tgt - fn.Addr)
+			off, _ := UnifiedOff(fn, tgt)
+			bi := cfg.BlockAt(off)
 			if bi < 0 {
 				return nil, nil, nil, fmt.Errorf("bolt: %s: jump table %s target %#x unmapped", fn.Name, jt.Name, tgt)
 			}
-			r := ref(bi)
-			t.Entries = append(t.Entries, *r)
+			t.Entries = append(t.Entries, ref(bi))
 		}
 		frags[0].JTs = append(frags[0].JTs, t)
 	}

@@ -38,9 +38,9 @@ func TestEmitFuncSizesFragmentsExactly(t *testing.T) {
 						continue
 					}
 					size += f.Size()
-					if cap(f.Insts) != len(f.Insts) {
+					if cap(f.Code) != len(f.Code) {
 						t.Errorf("%s %s peephole=%v: fragment %s has len %d, cap %d",
-							fn.Name, l.name, peephole, f.Name, len(f.Insts), cap(f.Insts))
+							fn.Name, l.name, peephole, f.Name, len(f.Code), cap(f.Code))
 					}
 				}
 				split = split || cf != nil

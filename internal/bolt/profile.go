@@ -1,10 +1,10 @@
 // Package bolt is the offline post-link optimizer: the BOLT analog
 // (§II-D). It converts raw LBR profiles to block-level profiles
-// (perf2bolt), decodes a binary's functions back into CFGs, reorders
+// (perf2bolt), lifts a binary's hot functions back into CFGs, reorders
 // basic blocks, splits hot/cold code, reorders functions (Pettis-Hansen
 // or C3), and emits a new binary whose optimized .text lives at a higher
-// address range while unprofiled functions stay pinned at their original
-// addresses in .bolt.org.text.
+// address range, while every other function is relocated from its input
+// bytes and stays pinned at its original address in .bolt.org.text.
 package bolt
 
 import (

@@ -52,6 +52,15 @@ const (
 	copiesAreaBase   = 0x1000_0000_0000
 	copiesAreaStride = 0x0010_0000_0000 // per version
 	copyWindow       = 0x1000_0000      // per copied instance
+
+	// stackFloor bounds the thread stacks below proc.StackTop: one
+	// copies-area stride holds 32,768 of them at proc.StackGap.
+	stackFloor = proc.StackTop - copiesAreaStride
+	// maxVersion is the last code version whose copies area ends at or
+	// below stackFloor. The controller refuses to inject a later one, whose
+	// stack-live copies would land in the stacks; its text is far below
+	// the heap (textBase reaches proc.HeapBase only at version 32,769).
+	maxVersion = (stackFloor-copiesAreaBase)/copiesAreaStride - 1
 )
 
 // Pause model: replacement work converted into simulated stop-the-world
@@ -383,6 +392,14 @@ func textBase(v int) uint64 { return firstTextBase + uint64(v-1)*versionStride }
 // copiesArea returns the base of the copies area for version v.
 func copiesArea(v int) uint64 { return copiesAreaBase + uint64(v)*copiesAreaStride }
 
+// versionFits refuses code version v past maxVersion.
+func versionFits(v int) error {
+	if v > maxVersion {
+		return fmt.Errorf("core: code version %d is past the last one the address space holds (%d)", v, maxVersion)
+	}
+	return nil
+}
+
 // ShouldOptimize is the first profiling stage (§V, following DMon's
 // TopDown methodology): a cheap counter measurement deciding whether the
 // target suffers enough front-end stalls for code layout optimization to
@@ -574,6 +591,11 @@ type RoundReport struct {
 func (c *Controller) OptimizeRound(profileSeconds float64) (*RoundReport, error) {
 	start := time.Now()
 	c.StartRound(c.version + 1)
+	if err := versionFits(c.version + 1); err != nil {
+		c.countError("replace")
+		c.EndRound(err)
+		return nil, err
+	}
 	raw := c.Profile(profileSeconds)
 	build, err := c.BuildOptimized(raw)
 	if err != nil {

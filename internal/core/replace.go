@@ -69,6 +69,10 @@ func (c *Controller) replace(nb *obj.Binary) (*ReplaceStats, error) {
 	newVersion := c.version + 1
 	sp := c.startSpan("replace", trace.Int("version", newVersion))
 
+	if err := versionFits(newVersion); err != nil {
+		sp.End(err)
+		return nil, err
+	}
 	if newVersion > 1 {
 		if c.opts.NoFuncPtrHook {
 			err := fmt.Errorf("core: continuous optimization requires the function-pointer hook (§IV-C2)")

@@ -302,6 +302,17 @@ func (in Inst) Encode(dst []byte) {
 	binary.LittleEndian.PutUint64(dst[8:], uint64(in.Imm))
 }
 
+// OpOf returns the opcode of the instruction encoded at src, and ImmOf
+// its Imm field, without decoding or validating the rest.
+func OpOf(src []byte) Op     { return Op(src[0]) }
+func ImmOf(src []byte) int64 { return int64(binary.LittleEndian.Uint64(src[8:InstBytes])) }
+
+// SetImm rewrites the Imm field of the instruction encoded at dst and
+// leaves its other bytes as they are: how a linker patches a relocation.
+func SetImm(dst []byte, imm int64) {
+	binary.LittleEndian.PutUint64(dst[8:InstBytes], uint64(imm))
+}
+
 // Decode reads an instruction from src, which must be at least InstBytes
 // long. It returns an error for undefined opcodes, register indices, or
 // conditions so that executing data or zeroed memory faults.

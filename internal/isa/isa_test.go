@@ -257,3 +257,22 @@ func TestDecodeCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestSetImmKeepsOtherBytes: a linker patches an encoded instruction's
+// Imm with SetImm and reads it back with ImmOf and OpOf; every other byte,
+// pad included, stays as it was.
+func TestSetImmKeepsOtherBytes(t *testing.T) {
+	in := Inst{Op: JCC, Rd: 1, Rs1: 2, Rs2: 3, Cond: NE, Imm: 48}
+	buf := make([]byte, InstBytes)
+	in.Encode(buf)
+	buf[6] = 0xAA // a nonzero pad byte
+	SetImm(buf, -0x1234_5678_9abc)
+	if OpOf(buf) != JCC || ImmOf(buf) != -0x1234_5678_9abc || buf[6] != 0xAA {
+		t.Fatalf("op %v imm %d pad %#x after SetImm", OpOf(buf), ImmOf(buf), buf[6])
+	}
+	got, err := Decode(buf)
+	in.Imm = -0x1234_5678_9abc
+	if err != nil || got != in {
+		t.Fatalf("decoded %+v (err %v), want %+v", got, err, in)
+	}
+}

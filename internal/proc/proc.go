@@ -23,9 +23,10 @@ import (
 
 // Memory layout constants for loader-managed regions. The heap sits
 // clear of the regions internal/core maps for optimized code: version v's
-// text and jump tables at 0x2000_0000 + (v-1)·0x1000_0000 (over 32,000
-// versions fit below the heap) and the stack-live copies areas from
-// 0x1000_0000_0000 up.
+// text and jump tables at 0x2000_0000 + (v-1)·0x1000_0000, and the
+// stack-live copies areas from 0x1000_0000_0000 up to the 64 GiB below
+// StackTop that core leaves to the thread stacks (it refuses a version
+// past 1,534, whose copies area would reach them).
 const (
 	HeapBase  = 0x0800_0000_0000
 	StackTop  = 0x7000_0000_0000

@@ -103,6 +103,12 @@ go test -run '^$' -fuzz FuzzLRUMatchesReference -fuzztime 10s ./internal/cpu
 echo "== go test -run '^\$' -fuzz FuzzDecode -fuzztime 10s ./internal/isa"
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/isa
 
+# Pinned-relocation oracle: the optimizer relocates functions it does not
+# move straight from their bytes; fuzz that path against lifting the
+# function into a CFG and re-emitting it in its own order.
+echo "== go test -run '^\$' -fuzz FuzzPinnedRelocation -fuzztime 10s ./internal/bolt"
+go test -run '^$' -fuzz FuzzPinnedRelocation -fuzztime 10s ./internal/bolt
+
 # Transactional-replacement gate (see docs/robustness.md): the sampled
 # fault sweep proves every injected tracee fault rolls back
 # bit-identically to the baseline (-short samples indices — a different
