@@ -3,6 +3,7 @@ package bolt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/obj"
@@ -257,10 +258,27 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 	// AddrMap: original entry → optimized entry for every moved function.
 	// OrgRanges (the BAT analog) symbolize every old home of moved code so
 	// profiles taken while old instances still execute remain attributable:
-	// inherit the input's table, then add the ranges vacated this round.
+	// inherit the input's table, then add the ranges vacated this round,
+	// each range once. An inherited range this output's own code or rodata
+	// now occupies is dropped: a reused address belongs to the code placed
+	// there last.
 	out.AddrMap = make(map[uint64]uint64, len(hotOrder))
 	out.OSRMap = osrMap
-	out.OrgRanges = append(out.OrgRanges, bin.OrgRanges...)
+	out.OrgRanges = make([]obj.OrgRange, 0, len(bin.OrgRanges)+2*len(hotOrder))
+inherit:
+	for _, r := range bin.OrgRanges {
+		for _, name := range []string{obj.SecText, obj.SecColdText, obj.SecROData} {
+			if sec := out.Section(name); sec != nil && r.Lo < sec.End() && sec.Addr < r.Hi {
+				continue inherit
+			}
+		}
+		out.OrgRanges = append(out.OrgRanges, r)
+	}
+	addOrg := func(r obj.OrgRange) {
+		if !slices.Contains(out.OrgRanges, r) {
+			out.OrgRanges = append(out.OrgRanges, r)
+		}
+	}
 	for _, entry := range hotOrder {
 		fn := bin.FuncAt(entry)
 		nf := out.FuncByName(fn.Name)
@@ -273,13 +291,9 @@ func Optimize(bin *obj.Binary, prof *Profile, opts Options) (*Result, error) {
 			}
 		}
 		out.AddrMap[entry] = nf.Addr
-		out.OrgRanges = append(out.OrgRanges, obj.OrgRange{
-			Lo: fn.Addr, Hi: fn.Addr + fn.Size, Name: fn.Name, Entry: fn.Addr,
-		})
+		addOrg(obj.OrgRange{Lo: fn.Addr, Hi: fn.Addr + fn.Size, Name: fn.Name, Entry: fn.Addr})
 		if fn.ColdSize > 0 {
-			out.OrgRanges = append(out.OrgRanges, obj.OrgRange{
-				Lo: fn.ColdAddr, Hi: fn.ColdAddr + fn.ColdSize, Name: fn.Name, Entry: fn.Addr,
-			})
+			addOrg(obj.OrgRange{Lo: fn.ColdAddr, Hi: fn.ColdAddr + fn.ColdSize, Name: fn.Name, Entry: fn.Addr})
 		}
 	}
 

@@ -39,28 +39,26 @@ import (
 	"repro/internal/trace"
 )
 
-// Region layout for injected code versions. Each version's new text goes
-// at textBase(v); stack-live copies made while replacing version v-1 go
-// into a dedicated, generously spaced copies area: each copied function
-// instance gets its own fixed-width window so that the hot and cold spans
-// of one instance shift by a single delta (keeping every PC-relative
-// branch valid) without ever colliding with later versions' regions.
+// Region layout for injected code versions. Versions reuse a ring of
+// versionSlots address slots, version v taking slot (v-1) mod
+// versionSlots. A slot is a text region at textBase(v) (the version's jump
+// tables at roOffset inside it) and a copies area at copiesArea(v) for the
+// stack-live copies made while replacing version v-1. Each round maps the
+// incoming version's slot and garbage-collects the outgoing one's, so at
+// most two slots are live and a slot is reused only long after its version
+// was collected. A reused slot can meet cache, TLB and BTB state left by
+// the version that last held it: the timing model does not shoot it down.
+// Each copied function instance gets its own fixed-width window so that
+// the hot and cold spans of one instance shift by a single delta (keeping
+// every PC-relative branch valid) without colliding with another.
 const (
+	versionSlots     = 16 // above the last version any shipped scenario reaches
 	versionStride    = 0x1000_0000
 	firstTextBase    = 0x2000_0000
 	roOffset         = 0x0C00_0000 // per-version jump-table area
 	copiesAreaBase   = 0x1000_0000_0000
-	copiesAreaStride = 0x0010_0000_0000 // per version
+	copiesAreaStride = 0x0010_0000_0000 // per slot
 	copyWindow       = 0x1000_0000      // per copied instance
-
-	// stackFloor bounds the thread stacks below proc.StackTop: one
-	// copies-area stride holds 32,768 of them at proc.StackGap.
-	stackFloor = proc.StackTop - copiesAreaStride
-	// maxVersion is the last code version whose copies area ends at or
-	// below stackFloor. The controller refuses to inject a later one, whose
-	// stack-live copies would land in the stacks; its text is far below
-	// the heap (textBase reaches proc.HeapBase only at version 32,769).
-	maxVersion = (stackFloor-copiesAreaBase)/copiesAreaStride - 1
 )
 
 // Pause model: replacement work converted into simulated stop-the-world
@@ -334,6 +332,15 @@ func (c *Controller) Version() int { return c.version }
 // before the first replacement).
 func (c *Controller) CurrentBinary() *obj.Binary { return c.curBin }
 
+// inputBin returns the binary of the running code: the current optimized
+// version, or C0 before the first replacement and after a Revert.
+func (c *Controller) inputBin() *obj.Binary {
+	if c.curBin != nil {
+		return c.curBin
+	}
+	return c.orig
+}
+
 // Whereis resolves a code address against the controller's live code
 // map: the function name and code version (0 = the immortal C0 image)
 // of the span containing addr. Stack-live copies resolve to their
@@ -386,19 +393,14 @@ func (c *Controller) startSpan(name string, attrs ...trace.Attr) *trace.Span {
 	return sp
 }
 
+// versionSlot returns the address slot of version v ≥ 1.
+func versionSlot(v int) uint64 { return uint64((v - 1) % versionSlots) }
+
 // textBase returns the injection base for version v ≥ 1.
-func textBase(v int) uint64 { return firstTextBase + uint64(v-1)*versionStride }
+func textBase(v int) uint64 { return firstTextBase + versionSlot(v)*versionStride }
 
-// copiesArea returns the base of the copies area for version v.
-func copiesArea(v int) uint64 { return copiesAreaBase + uint64(v)*copiesAreaStride }
-
-// versionFits refuses code version v past maxVersion.
-func versionFits(v int) error {
-	if v > maxVersion {
-		return fmt.Errorf("core: code version %d is past the last one the address space holds (%d)", v, maxVersion)
-	}
-	return nil
-}
+// copiesArea returns the base of the copies area for version v ≥ 1.
+func copiesArea(v int) uint64 { return copiesAreaBase + (versionSlot(v)+1)*copiesAreaStride }
 
 // ShouldOptimize is the first profiling stage (§V, following DMon's
 // TopDown methodology): a cheap counter measurement deciding whether the
@@ -485,10 +487,7 @@ func (c *Controller) boltOptions() bolt.Options {
 // cached result itself: one image per layout, shared by every controller
 // that injects it and read-only to all of them (layout.Entry).
 func (c *Controller) BuildOptimized(raw *perf.RawProfile) (*BuildStats, error) {
-	input := c.orig
-	if c.curBin != nil {
-		input = c.curBin
-	}
+	input := c.inputBin()
 	bo := c.boltOptions()
 	if c.opts.LayoutCache == nil {
 		res, stats, err := c.runBoltPipeline(input, raw, bo, "")
@@ -591,11 +590,6 @@ type RoundReport struct {
 func (c *Controller) OptimizeRound(profileSeconds float64) (*RoundReport, error) {
 	start := time.Now()
 	c.StartRound(c.version + 1)
-	if err := versionFits(c.version + 1); err != nil {
-		c.countError("replace")
-		c.EndRound(err)
-		return nil, err
-	}
 	raw := c.Profile(profileSeconds)
 	build, err := c.BuildOptimized(raw)
 	if err != nil {

@@ -456,11 +456,11 @@ func TestContinuousMultithreaded(t *testing.T) {
 }
 
 // TestHeapSurvivesContinuousOptimization runs a guest that allocates heap
-// through SysAlloc and keeps a sentinel there through five rounds. Every
-// code version gets its own region at textBase(v), and each round
-// garbage-collects the outgoing one, so the heap must lie outside every
-// such region: one that started at textBase(3) had version 3's text
-// written over it and then unmapped.
+// through SysAlloc and keeps a sentinel there through more rounds than the
+// ring has address slots, then reverts to C0. Each round writes the
+// incoming version into its slot and garbage-collects the outgoing one's,
+// so the heap must lie outside every slot: one that started at textBase(3)
+// had version 3's text written over it and then unmapped.
 func TestHeapSurvivesContinuousOptimization(t *testing.T) {
 	const sentinel = 0x5EE_D5EE_D5EE_D5EE
 	p := build.NewProgram("heapguest")
@@ -527,8 +527,14 @@ func TestHeapSurvivesContinuousOptimization(t *testing.T) {
 	if block == 0 || pr.Mem.ReadWord(block) != sentinel {
 		t.Fatalf("guest did not set up its heap block (at %#x)", block)
 	}
-	for round := 1; round <= 5; round++ {
-		if _, err := c.OptimizeRound(0.0004); err != nil {
+	for round := 1; round <= versionSlots+4; round++ {
+		var err error
+		if round < versionSlots+4 {
+			_, err = c.OptimizeRound(0.0004)
+		} else {
+			_, err = c.Revert()
+		}
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		pr.RunFor(0.0002)

@@ -71,12 +71,8 @@ func (c *Controller) composeFromC0(nb *obj.Binary) map[string]map[uint64]uint64 
 	if nb == nil {
 		return out
 	}
-	inputBin := c.orig
-	if c.curBin != nil {
-		inputBin = c.curBin
-	}
 	for oldE, pts := range nb.OSRMap {
-		f := inputBin.FuncAt(oldE)
+		f := c.inputBin().FuncAt(oldE)
 		if f == nil {
 			continue
 		}
@@ -124,10 +120,9 @@ func (c *Controller) osrDecide(nb *obj.Binary, fr unwind.Frame) (*osrRewrite, bo
 	if !ok {
 		return nil, false // the liveness pass reports unknown code addresses
 	}
-	inputBin := c.orig
-	if c.curBin != nil {
-		inputBin = c.curBin
-	}
+	// entry and viaOff key the incoming OSR map: the function's input-
+	// layout entry and the frame's offset in that layout.
+	var entry, oldOff, viaOff uint64
 	if s.version == 0 {
 		// A frame on the immortal C0 image is never at risk, but if its
 		// function moves this round we transfer it anyway: function
@@ -137,7 +132,7 @@ func (c *Controller) osrDecide(nb *obj.Binary, fr unwind.Frame) (*osrRewrite, bo
 		if nb == nil {
 			return nil, false
 		}
-		inf := inputBin.FuncByName(s.name)
+		inf := c.inputBin().FuncByName(s.name)
 		if inf == nil {
 			return nil, false
 		}
@@ -148,11 +143,10 @@ func (c *Controller) osrDecide(nb *obj.Binary, fr unwind.Frame) (*osrRewrite, bo
 		if c0f == nil || fr.PC < c0f.Addr || fr.PC >= c0f.Addr+c0f.Size {
 			return nil, false
 		}
-		oldOff := fr.PC - c0f.Addr
-		// The incoming OSR map is keyed by input-layout offsets; pivot the
-		// C0 offset through the live relation first (identity while the
-		// input layout is C0 itself).
-		viaOff := oldOff
+		entry, oldOff = inf.Addr, fr.PC-c0f.Addr
+		// Pivot the C0 offset through the live relation first (identity
+		// while the input layout is C0 itself).
+		viaOff = oldOff
 		if prev := c.osrFromC0[s.name]; prev != nil {
 			v, ok := prev[oldOff]
 			if !ok {
@@ -160,57 +154,40 @@ func (c *Controller) osrDecide(nb *obj.Binary, fr unwind.Frame) (*osrRewrite, bo
 			}
 			viaOff = v
 		}
-		p, ok := nb.OSRPointAt(inf.Addr, viaOff)
-		if !ok {
+	} else {
+		if s.version != c.version {
+			return nil, false
+		}
+		inf := c.inputBin().FuncAt(s.entry)
+		if inf == nil {
+			// A stack-live copy from an earlier round: its ad-hoc layout is
+			// in no OSR map, so it keeps draining through the copy mechanism.
 			return nil, true
 		}
-		nf := nb.FuncByName(s.name)
-		if nf == nil {
+		if oldOff, ok = bolt.UnifiedOff(inf, fr.PC); !ok {
 			return nil, true
 		}
-		return &osrRewrite{oldPC: fr.PC, newPC: osrAddrAt(nf, p.NewOff), name: s.name,
-			entry: inf.Addr, oldOff: oldOff, viaOff: viaOff, newOff: p.NewOff}, true
-	}
-	if s.version != c.version {
-		return nil, false
-	}
-	inf := inputBin.FuncAt(s.entry)
-	if inf == nil {
-		// A stack-live copy from an earlier round: its ad-hoc layout is in
-		// no OSR map, so it keeps draining through the copy mechanism.
-		return nil, true
-	}
-	oldOff, ok := bolt.UnifiedOff(inf, fr.PC)
-	if !ok {
-		return nil, true
-	}
-	if nb != nil {
-		if _, moved := nb.AddrMap[s.entry]; moved {
-			p, ok := nb.OSRPointAt(s.entry, oldOff)
-			if !ok {
+		if nb == nil || nb.AddrMap[s.entry] == 0 {
+			// Revert, or the function fell cold this round: its preferred
+			// entry goes back to C0, so transfer the frame there by
+			// inverting the live C0→current relation.
+			c0Off, ok := c.invertFromC0(s.name, oldOff)
+			c0f := c.orig.FuncByName(s.name)
+			if !ok || c0f == nil || c0Off >= c0f.Size {
 				return nil, true
 			}
-			nf := nb.FuncByName(s.name)
-			if nf == nil {
-				return nil, true
-			}
-			return &osrRewrite{oldPC: fr.PC, newPC: osrAddrAt(nf, p.NewOff), name: s.name,
-				entry: s.entry, oldOff: oldOff, viaOff: oldOff, newOff: p.NewOff}, true
+			return &osrRewrite{oldPC: fr.PC, newPC: c0f.Addr + c0Off, name: s.name,
+				oldOff: oldOff, newOff: c0Off, toC0: true}, true
 		}
+		entry, viaOff = s.entry, oldOff
 	}
-	// Revert, or the function fell cold this round: its preferred entry
-	// goes back to C0, so transfer the frame there by inverting the live
-	// C0→current relation.
-	c0Off, ok := c.invertFromC0(s.name, oldOff)
-	if !ok {
+	p, ok := nb.OSRPointAt(entry, viaOff)
+	nf := nb.FuncByName(s.name)
+	if !ok || nf == nil {
 		return nil, true
 	}
-	c0f := c.orig.FuncByName(s.name)
-	if c0f == nil || c0Off >= c0f.Size {
-		return nil, true
-	}
-	return &osrRewrite{oldPC: fr.PC, newPC: c0f.Addr + c0Off, name: s.name,
-		oldOff: oldOff, newOff: c0Off, toC0: true}, true
+	return &osrRewrite{oldPC: fr.PC, newPC: osrAddrAt(nf, p.NewOff), name: s.name,
+		entry: entry, oldOff: oldOff, viaOff: viaOff, newOff: p.NewOff}, true
 }
 
 // applyOSR is the on-stack-replacement stage of a replacement round. It

@@ -69,10 +69,6 @@ func (c *Controller) replace(nb *obj.Binary) (*ReplaceStats, error) {
 	newVersion := c.version + 1
 	sp := c.startSpan("replace", trace.Int("version", newVersion))
 
-	if err := versionFits(newVersion); err != nil {
-		sp.End(err)
-		return nil, err
-	}
 	if newVersion > 1 {
 		if c.opts.NoFuncPtrHook {
 			err := fmt.Errorf("core: continuous optimization requires the function-pointer hook (§IV-C2)")
@@ -232,10 +228,7 @@ func (c *Controller) applyReplace(x *ptrace.Txn, nb *obj.Binary, newVersion int)
 		return nil, nil, nil, nil, nil, err
 	}
 
-	inputBin := c.orig
-	if c.curBin != nil {
-		inputBin = c.curBin
-	}
+	inputBin := c.inputBin()
 
 	// New preferred entry per function: the optimized location when the
 	// round moved it, the C0 location otherwise (functions that fell cold
@@ -416,6 +409,8 @@ func (c *Controller) applyReplace(x *ptrace.Txn, nb *obj.Binary, newVersion int)
 	}
 
 	// Rewrite return addresses and thread PCs that point into copied code.
+	// The register files are kept for the v-table register rewrite below.
+	regsOf := make([]ptrace.Regs, len(stacks))
 	for tid, frames := range stacks {
 		regs, err := x.GetRegs(tid)
 		if err != nil {
@@ -428,6 +423,7 @@ func (c *Controller) applyReplace(x *ptrace.Txn, nb *obj.Binary, newVersion int)
 			}
 			stats.ThreadPCsUpdated++
 		}
+		regsOf[tid] = regs
 		for fi, fr := range frames {
 			if fr.RetSlot == 0 || osrMapped[[2]int{tid, fi}] {
 				continue
@@ -441,8 +437,11 @@ func (c *Controller) applyReplace(x *ptrace.Txn, nb *obj.Binary, newVersion int)
 		}
 	}
 
-	// Patch v-table slots to the new preferred entries.
+	// Patch v-table slots to the new preferred entries. A thread paused
+	// between a slot load and its CALLR holds the outgoing entry in a
+	// register: aim that register where the slot now points.
 	if !c.opts.NoPatchVTables {
+		moved := make(map[uint64]uint64)
 		for _, vt := range c.orig.VTables {
 			for i := range vt.Slots {
 				slotAddr := vt.Addr + uint64(i)*8
@@ -460,6 +459,22 @@ func (c *Controller) applyReplace(x *ptrace.Txn, nb *obj.Binary, newVersion int)
 						return fail(err)
 					}
 					stats.VTableSlotsPatched++
+					if s.version != 0 {
+						moved[v] = want
+					}
+				}
+			}
+		}
+		for tid, regs := range regsOf {
+			hit := false
+			for r, v := range regs.GPR {
+				if want, ok := moved[v]; ok {
+					regs.GPR[r], hit = want, true
+				}
+			}
+			if hit {
+				if err := x.SetRegs(tid, regs); err != nil {
+					return fail(err)
 				}
 			}
 		}

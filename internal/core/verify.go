@@ -22,6 +22,10 @@ import (
 //     code the new resolver knows;
 //   - no live pointer references the address ranges being garbage-
 //     collected this round;
+//   - no general-purpose register holds the entry of a function instance
+//     being garbage-collected (replace re-aims a register still holding
+//     an outgoing entry loaded from a v-table slot). Only entries count:
+//     a register may hold any data, and a hash can fall in a dead range;
 //   - every registered jump-table entry still points into a live span;
 //   - every OSR-rewritten frame (see osr.go) holds exactly the new PC it
 //     was given, that PC decodes to a live instruction of the same
@@ -139,6 +143,13 @@ func (c *Controller) verifyResumeSafety(x *ptrace.Txn, nr *resolver, newCur map[
 		regs, err := x.GetRegs(tid)
 		if err != nil {
 			return err
+		}
+		// c.res is still the outgoing resolver: its spans off C0 are
+		// exactly the code being collected.
+		for r, v := range regs.GPR {
+			if s, ok := c.res.at(v); ok && s.version != 0 && v == s.entry {
+				return fmt.Errorf("core: verify: thread %d register r%d holds %#x, the entry of garbage-collected %s", tid, r, v, s.name)
+			}
 		}
 		ra, slot, err := c.hiddenRetAddr(x, tid, regs, nr)
 		if err != nil {

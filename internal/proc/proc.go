@@ -22,11 +22,11 @@ import (
 )
 
 // Memory layout constants for loader-managed regions. The heap sits
-// clear of the regions internal/core maps for optimized code: version v's
-// text and jump tables at 0x2000_0000 + (v-1)·0x1000_0000, and the
-// stack-live copies areas from 0x1000_0000_0000 up to the 64 GiB below
-// StackTop that core leaves to the thread stacks (it refuses a version
-// past 1,534, whose copies area would reach them).
+// clear of the regions internal/core maps for optimized code: a ring of 16
+// version slots, each a text and jump-table region at
+// 0x2000_0000 + slot·0x1000_0000 and a stack-live copies area at
+// 0x1000_0000_0000 + (slot+1)·0x10_0000_0000, all far below the thread
+// stacks under StackTop.
 const (
 	HeapBase  = 0x0800_0000_0000
 	StackTop  = 0x7000_0000_0000

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,6 +46,8 @@ func TestSimulatedOutputs(t *testing.T) {
 		{"wave_cache_hit", waveCacheHit},
 		{"loopsim_osr", loopsimOSR},
 		{"sqldb_rebolt", sqldbRebolt},
+		{"sqldb_soak", sqldbSoak},
+		{"wave_workers", waveWorkers},
 	} {
 		sc.run(t, func(field string, v any) {
 			got = append(got, fmt.Sprintf("%s %s %s", sc.name, field, formatSim(v)))
@@ -156,20 +159,30 @@ func sqldbRound(t *testing.T, rec func(string, any)) {
 // from one binary, so the second round is a layout-cache hit and the two
 // processes share the binary's image.
 func waveCacheHit(t *testing.T, rec func(string, any)) {
+	sqldbWave(t, rec, 2, 1, 1)
+}
+
+// sqldbWave runs a fleet wave with the given workers and round cap over
+// replicas of test-scale sqldb read_only loaded from one binary, and
+// records each replica's state, cpu.Stats, requests and round pauses, then
+// the layout-cache hits and misses and the BOLT runs. Hits count the
+// coalesced lookups too: with two workers, whether a lookup finds the
+// layout cached or waits for the replica building it is host timing.
+func sqldbWave(t *testing.T, rec func(string, any), replicas, workers, maxRounds int) {
 	w, err := workloads.Build("sqldb", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	m, err := fleet.NewManager(fleet.Config{
-		Workers: 1, SkipGate: true, Metrics: reg,
+		Workers: workers, SkipGate: true, Metrics: reg,
 		Timing:     fleet.TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
-		Robustness: fleet.RobustnessConfig{MaxRounds: 1},
+		Robustness: fleet.RobustnessConfig{MaxRounds: maxRounds},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < replicas; i++ {
 		s, err := m.AddService(fleet.ServicePlan{
 			Name: fmt.Sprintf("replica%d", i), Workload: w, Input: "read_only", Threads: 1,
 		})
@@ -190,7 +203,7 @@ func waveCacheHit(t *testing.T, rec func(string, any)) {
 		}
 	}
 	cs, _ := m.CacheStats()
-	rec("cache_hits", cs.Hits)
+	rec("cache_hits", cs.Hits+cs.Coalesced)
 	rec("cache_misses", cs.Misses)
 	rec("bolt_runs", reg.Counter("core_bolt_invocations_total").Value())
 }
@@ -256,4 +269,99 @@ func sqldbRebolt(t *testing.T, rec func(string, any)) {
 	recordProcess(rec, "", p, d)
 	rec("max_rss", p.MaxRSS())
 	rec("bolt_runs", reg.Counter("core_bolt_invocations_total").Value())
+}
+
+// soakRounds is how many rounds sqldbSoak runs: more than core's ring of
+// 16 version slots holds, so every slot is reused at least twice.
+const soakRounds = 50
+
+// sqldbSoak: continuous optimization of one-thread sqldb read_only for
+// soakRounds rounds, then a revert to C0. Staggered profile windows move
+// each pause to a different point of the serve loop, so pauses land
+// inside stack-live functions and between a v-table load and its call.
+// Beyond the pinned rows it asserts that the process never faults, that
+// every mapped range lies in C0, the heap, the stacks or one of the
+// version slots, and that no OrgRange aliases the running version's code.
+func sqldbSoak(t *testing.T, rec func(string, any)) {
+	bin, p, d := loadGuest(t, "sqldb", "read_only", 1)
+	c, err := core.New(p, bin, core.Options{
+		Bolt: bolt.Options{AllowReBolt: true},
+		Perf: perf.RecorderOptions{PeriodCycles: 2000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunFor(0.0003)
+	for r := 1; r <= soakRounds; r++ {
+		rr, err := c.OptimizeRound(0.0005 + float64(r%7)*0.000137)
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		nb := rr.Build.Result.Binary
+		pre := fmt.Sprintf("round%d.", r)
+		rec(pre+"osr_mapped", rr.Replace.OSRFramesMapped)
+		rec(pre+"osr_fallbacks", rr.Replace.OSRFallbacks)
+		rec(pre+"funcs_on_stack", rr.Replace.FuncsOnStack)
+		rec(pre+"org_ranges", len(nb.OrgRanges))
+		for _, or := range nb.OrgRanges {
+			for _, sec := range []*obj.Section{nb.Section(obj.SecText), nb.Section(obj.SecColdText)} {
+				if sec != nil && or.Lo < sec.End() && sec.Addr < or.Hi {
+					t.Errorf("round %d: OrgRange %s [%#x, %#x) overlaps the running %s", r, or.Name, or.Lo, or.Hi, sec.Name)
+				}
+			}
+		}
+		p.RunFor(0.0002)
+		if err := p.Fault(); err != nil {
+			t.Fatalf("after round %d: %v", r, err)
+		}
+	}
+	rs, err := c.Revert()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunFor(0.0002)
+	if err := p.Fault(); err != nil {
+		t.Fatalf("after the revert: %v", err)
+	}
+	// The address space core lays out: C0 below the first version slot,
+	// the heap, the 64 GiB of thread stacks below proc.StackTop, and 16
+	// version slots of text (0x1000_0000 each from 0x2000_0000) and copies
+	// areas (0x10_0000_0000 each from 0x1010_0000_0000).
+	allowed := [][2]uint64{
+		{0, 0x2000_0000},
+		{0x2000_0000, 0x2000_0000 + 16*0x1000_0000},
+		{proc.HeapBase, 0x1000_0000_0000},
+		{0x1010_0000_0000, 0x1010_0000_0000 + 16*0x10_0000_0000},
+		{proc.StackTop - 0x10_0000_0000, proc.StackTop},
+	}
+	mapped := p.Mem.MappedRanges()
+	for _, m := range mapped {
+		if !slices.ContainsFunc(allowed, func(a [2]uint64) bool { return m[0] >= a[0] && m[1] <= a[1] }) {
+			t.Errorf("mapped range [%#x, %#x) lies outside C0, the heap, the stacks and the version slots", m[0], m[1])
+		}
+	}
+	rec("mapped_ranges", len(mapped))
+	rec("resident_bytes", p.Mem.ResidentBytes())
+	rec("decoded_traces", p.DecodedTraces())
+	rec("revert.pause_cycles", pauseCycles(rs.PauseSeconds))
+	recordProcess(rec, "", p, d)
+}
+
+// waveWorkers: a wave of up to two rounds over four sqldb replicas loaded
+// from one binary, run with one worker and again with two. Rounds are
+// serialized through the layout cache and the pause budget, so the worker
+// count must not move a simulated number: the two runs' rows must match.
+func waveWorkers(t *testing.T, rec func(string, any)) {
+	run := func(workers int) []string {
+		var rows []string
+		sqldbWave(t, func(field string, v any) { rows = append(rows, field+" "+formatSim(v)) }, 4, workers, 2)
+		return rows
+	}
+	serial, parallel := run(1), run(2)
+	if !slices.Equal(serial, parallel) {
+		t.Errorf("one worker and two disagree:\n%s\nvs\n%s", strings.Join(serial, "\n"), strings.Join(parallel, "\n"))
+	}
+	for _, row := range serial {
+		rec(splitRow(row))
+	}
 }
